@@ -15,7 +15,7 @@ countable chains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,12 +94,18 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A fully assembled chain: generator, weight, stationary law, label."""
+    """A fully assembled chain: generator, weight, stationary law, label.
+
+    The spec is immutable, so its spectral analysis is computed at most
+    once and kept in a private memo slot (see spectral.chain_analysis);
+    the slot takes no part in construction, repr or equality.
+    """
 
     rate_matrix: RateMatrix
     weight: WeightFunction
     stationary: Distribution
     label: str = ""
+    _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

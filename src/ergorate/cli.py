@@ -44,7 +44,7 @@ from .semigroup import (
     fit_rate,
     mu_ft_norm,
 )
-from .spectral import drift_condition, gap, spectral_report
+from .spectral import chain_analysis, drift_condition, gap, spectral_report
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -107,22 +107,26 @@ def _emit(text: str, output: str | None) -> None:
         raise
 
 
+def _rate_guess(spec: ChainSpec) -> float:
+    """The gap for reversible chains, else the true decay rate; a
+    reversible chain needs no eigvals for it."""
+    a = chain_analysis(spec)
+    return a.gap if a.reversible else a.true_decay_rate
+
+
 def _grid_for(spec: ChainSpec, args: argparse.Namespace):
-    report = spectral_report(spec)
-    rate_guess = report.gap if report.reversible else report.true_decay_rate
-    return report, default_time_grid(rate_guess, points=args.points, tmax=args.tmax)
+    return default_time_grid(_rate_guess(spec), points=args.points, tmax=args.tmax)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = _resolve_chain(args)
     report = spectral_report(spec)
-    rev, violation = is_reversible(spec.rate_matrix, spec.stationary)
     bundle = report.to_dict()
     bundle.update(
         {
             "label": spec.label,
             "n": spec.n,
-            "reversibility_violation": violation,
+            "reversibility_violation": chain_analysis(spec).violation,
             "stationary": list(map(float, spec.pi)),
             "weight": list(map(float, spec.f)),
             "rate_exceeds_gap": report.true_decay_rate > report.gap + 1e-9,
@@ -155,16 +159,14 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
 def cmd_decay(args: argparse.Namespace) -> int:
     spec = _resolve_chain(args)
-    _, grid = _grid_for(spec, args)
-    curve = decay_curve(spec, args.state, grid)
+    curve = decay_curve(spec, args.state, _grid_for(spec, args))
     _emit(decay_curve_to_csv(curve), args.output)
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     spec = _resolve_chain(args)
-    _, grid = _grid_for(spec, args)
-    curve = decay_curve(spec, args.state, grid)
+    curve = decay_curve(spec, args.state, _grid_for(spec, args))
     window = None
     if args.window:
         vals = _parse_floats(args.window, "--window")
@@ -181,7 +183,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_drift(args: argparse.Namespace) -> int:
     spec = _resolve_chain(args)
     report = drift_condition(spec, small_set=(0,))
-    g = gap(spec.rate_matrix, spec.stationary)
+    g = chain_analysis(spec).gap
     _emit(
         json.dumps(
             {
@@ -202,9 +204,7 @@ def cmd_drift(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _resolve_chain(args)
-    report = spectral_report(spec)
-    rate_guess = report.gap if report.reversible else report.true_decay_rate
-    tmax = args.tmax if args.tmax is not None else 10.0 / rate_guess
+    tmax = args.tmax if args.tmax is not None else 10.0 / _rate_guess(spec)
     times = np.linspace(0.0, tmax, args.points)
     ensemble = sample_paths(spec, args.state, times, args.paths, args.seed)
     emp = empirical_fnorm(ensemble, spec.stationary, spec.weight)

@@ -4,9 +4,17 @@ The transition semigroup P_t = exp(tQ) is realized two ways: a spectral
 route for reversible chains (eigendecomposition of the symmetrized
 generator; doubles as an independent cross-check and yields the
 deviation P_t - limit with *relative* accuracy at any magnitude, since
-the stationary mode is removed analytically) and scaling-and-squaring
-for general chains (deviation obtained by subtraction, so its noise
-floor is absolute, near 1e-14).
+the stationary mode is removed analytically) and a Pade route for
+general chains (deviation obtained by subtraction, so its noise floor is
+absolute, near 1e-14).  The eigensystem comes from the chain's memoized
+analysis (spectral.chain_analysis), so it is computed once per chain.
+
+Decay curves need only the start state's row of P_t.  The spectral route
+evaluates every grid time in one (G x n) @ (n x n) product.  The Pade
+route takes a dense scaling-and-squaring exponential per grid time on
+small chains; from _ROW_STEPPING_MIN_N states on, it propagates the unit
+row along the grid with the action of the exponential
+(scipy.sparse.linalg.expm_multiply) and never forms exp(tQ).
 
 Rate fitting supports a plain log-linear mode for monotone curves and a
 peak-envelope mode for oscillating ones.  Oscillating curves from
@@ -25,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
+from scipy.sparse.linalg import expm_multiply
 
-from .chain_core import ChainSpec, WeightFunction, is_reversible
+from .chain_core import ChainSpec, WeightFunction, dual
 from .errors import ErgorateError, InsufficientData, NoiseFloor, Overflow, TooLarge
-from .spectral import ergodicity_constant, gap, symmetric_eigendecomposition
+from .spectral import chain_analysis, ergodicity_constant
 
 # Beyond this the scaled matrix exponential is not trustworthy; far past
 # any desk-scale use.
@@ -42,6 +51,14 @@ _PADE_FLOOR = 1e-14
 _SPECTRAL_FLOOR = 1e-300
 
 _NEGATIVE_DUST = 1e-12
+
+# Pade-route decay curves switch from one dense exp(tQ) per grid time to
+# propagating the start row with expm_multiply at this many states.
+# Measured on a 60-point default grid (2-vCPU x86 VM, 1 BLAS thread):
+# the two cost about the same at n = 60, stepping is 3x cheaper at
+# n = 100 and 6x at n = 130, and below n = 50 its fixed cost of about
+# 0.2 ms per call loses.
+_ROW_STEPPING_MIN_N = 60
 
 
 @dataclass(frozen=True)
@@ -110,10 +127,14 @@ class RateFit:
 class Propagator:
     """Evaluator for P_t and its deviation from the stationary limit.
 
-    Decomposes once per chain; snapshots at distinct times are then
-    independent (and may be taken concurrently).  ``method`` is
-    "spectral" (reversible chains), "pade", or "auto" (spectral when the
-    chain passes the detailed-balance test).
+    ``method`` is "spectral" (reversible chains), "pade", or "auto"
+    (spectral when the chain passes the detailed-balance test).  The
+    verdict and the eigensystem are read from the chain's memoized
+    analysis, so building several propagators for one spec decomposes
+    once.  ``matrix``, ``deviation`` and ``snapshot`` return full n x n
+    matrices; snapshots at distinct times are independent (and may be
+    taken concurrently).  Decay curves read only one row per time; see
+    decay_curve.
     """
 
     def __init__(self, spec: ChainSpec, method: str = "auto"):
@@ -121,12 +142,11 @@ class Propagator:
             raise ErgorateError(f"unknown semigroup method {method!r}")
         self.spec = spec
         if method == "auto":
-            rev, _ = is_reversible(spec.rate_matrix, spec.stationary)
-            method = "spectral" if rev else "pade"
+            method = "spectral" if chain_analysis(spec).reversible else "pade"
         self.method = method
         self._limit = np.outer(np.ones(spec.n), spec.pi)
         if method == "spectral":
-            lam, V, d = symmetric_eigendecomposition(spec.rate_matrix, spec.stationary)
+            lam, V, d = chain_analysis(spec).eigensystem
             self._lam = lam
             self._psi = V / d[:, None]
             self._phi = (V * d[:, None]).T
@@ -160,6 +180,41 @@ class Propagator:
             decay = np.exp(-t * self._lam[1:])
             return (self._psi[:, 1:] * decay[None, :]) @ self._phi[1:, :]
         return scipy.linalg.expm(t * self.spec.q) - self._limit
+
+    def _row_deviations(self, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Rows P_t(i, .) - pi for increasing ``times``, shape (G, n).
+
+        Equals deviation(t)[i] for each t, without forming any other row.
+        """
+        for t in (times[0], times[-1]):
+            self._check_time(float(t))
+        spec = self.spec
+        if self.method == "spectral":
+            decay = np.exp(-np.outer(times, self._lam[1:]))
+            return (self._psi[i, 1:] * decay) @ self._phi[1:, :]
+        if spec.n < _ROW_STEPPING_MIN_N:
+            return np.array([scipy.linalg.expm(t * spec.q)[i] for t in times]) - spec.pi
+        # e_i P_t = (exp(t Q^T) e_i)^T, carried from each grid time to the
+        # next.  expm_multiply's work grows linearly with ||h Q||_1, a dense
+        # exponential's only with its log, so a step past n / 4 in that
+        # norm is taken densely; this bounds the cost of long steps
+        # (measured per step at n 130-300, expm_multiply is still the
+        # cheaper one at n / 4).
+        qt = spec.q.T
+        norm = float(np.max(np.abs(qt).sum(axis=0)))
+        v = np.zeros(spec.n)
+        v[i] = 1.0
+        rows = np.empty((times.size, spec.n))
+        prev = 0.0
+        for k, t in enumerate(times):
+            h = float(t) - prev
+            if h * norm > 0.25 * spec.n:
+                v = v @ scipy.linalg.expm(h * spec.q)
+            elif h > 0.0:
+                v = expm_multiply(h * qt, v)
+            rows[k] = v
+            prev = float(t)
+        return rows - spec.pi
 
     def snapshot(self, t: float) -> SemigroupSnapshot:
         """P_t with dust clamped, row-stochasticity enforced."""
@@ -210,17 +265,19 @@ def decay_curve(
     propagator: Propagator | None = None,
 ) -> DecayCurve:
     """Weighted-norm distance of P_t(i, .) to stationarity over a grid,
-    with the theoretical exponential envelope alongside."""
+    with the theoretical exponential envelope alongside.
+
+    Only row i of P_t is computed (see Propagator's routes).  The
+    envelope rate is the gap from the chain's memoized analysis.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
         raise ErgorateError("time grid must be strictly increasing and nonnegative")
     if not 0 <= i < spec.n:
         raise ErgorateError(f"state {i} out of range for {spec.n} states")
     prop = propagator if propagator is not None else Propagator(spec)
-    fn = np.empty(grid.size)
-    for k, t in enumerate(grid):
-        fn[k] = f_norm(prop.deviation(t)[i, :], spec.weight)
-    g = gap(spec.rate_matrix, spec.stationary)
+    fn = np.abs(prop._row_deviations(i, grid)) @ spec.f
+    g = chain_analysis(spec).gap
     C = ergodicity_constant(spec.stationary, spec.weight)[i]
     env = C * np.exp(-g * grid)
     return DecayCurve(
@@ -380,8 +437,6 @@ def mu_ft_norm(
     semigroup.  The two code paths share nothing past the chain spec, so
     their agreement is a genuine cross-check.
     """
-    from .chain_core import dual as _dual  # local import avoids cycle at module load
-
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (spec.n,):
         raise ErgorateError(f"mu must have shape ({spec.n},)")
@@ -390,7 +445,7 @@ def mu_ft_norm(
     prop = propagator if propagator is not None else Propagator(spec)
     direct = f_norm(mu @ prop.deviation(t), spec.weight)
 
-    Qhat = _dual(spec.rate_matrix, spec.stationary)
+    Qhat = dual(spec.rate_matrix, spec.stationary)
     h = mu / spec.pi
     Pstar_h = scipy.linalg.expm(t * Qhat.q) @ h
     via_dual = float(np.dot(spec.pi, spec.f * np.abs(Pstar_h - 1.0)))
@@ -409,13 +464,12 @@ def _sign_blocks(n: int, block: int = 1 << 14):
         yield G
 
 
-def opnorm_inf_to_1(A: NDArray[np.float64], nu: NDArray[np.float64]) -> float:
-    """Exact operator norm from L-infinity(nu) to L1(nu) by enumeration.
+def _vertex_max(A: NDArray[np.float64], nu: NDArray[np.float64], image) -> float:
+    """max over g in {-1,+1}^n of sum_i nu_i image((A g)_i).
 
-    The norm is the max of sum_i nu_i |(A g)_i| over |g| <= 1; the
-    objective is convex in g, so the max sits at a vertex of the cube
-    and enumerating sign vectors (2^(n-1) after symmetry) is exact.
-    Capped at n = 20.
+    For a convex image function the objective is convex in g, so its
+    max over the cube |g| <= 1 sits at a vertex; enumerating sign vectors
+    (2^(n-1) after the symmetry g -> -g) is exact.  Capped at n = 20.
     """
     A = np.asarray(A, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -426,26 +480,20 @@ def opnorm_inf_to_1(A: NDArray[np.float64], nu: NDArray[np.float64]) -> float:
         raise TooLarge(f"sign enumeration capped at n = 20, got {n}")
     best = 0.0
     for G in _sign_blocks(n):
-        vals = np.abs(G @ A.T) @ nu
-        best = max(best, float(vals.max()))
+        best = max(best, float((image(G @ A.T) @ nu).max()))
     return best
+
+
+def opnorm_inf_to_1(A: NDArray[np.float64], nu: NDArray[np.float64]) -> float:
+    """Exact operator norm from L-infinity(nu) to L1(nu), by vertex
+    enumeration of max sum_i nu_i |(A g)_i| over |g| <= 1."""
+    return _vertex_max(A, nu, np.abs)
 
 
 def opnorm_inf_to_2(A: NDArray[np.float64], nu: NDArray[np.float64]) -> float:
     """Exact operator norm from L-infinity(nu) to L2(nu), same vertex
     enumeration (the squared image norm is a convex quadratic)."""
-    A = np.asarray(A, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or nu.shape != (n,):
-        raise ErgorateError("need a square operator and a matching measure vector")
-    if n > 20:
-        raise TooLarge(f"sign enumeration capped at n = 20, got {n}")
-    best = 0.0
-    for G in _sign_blocks(n):
-        vals = (G @ A.T) ** 2 @ nu
-        best = max(best, float(vals.max()))
-    return float(np.sqrt(best))
+    return float(np.sqrt(_vertex_max(A, nu, np.square)))
 
 
 def decay_curve_to_csv(curve: DecayCurve) -> str:

@@ -12,11 +12,18 @@ directly.  For irreversible chains the quadratic form only sees the
 symmetric part of the generator, so the gap is computed on the additive
 symmetrization; the slowest eigenvalue of the original generator can be
 strictly faster, and both numbers are reported.
+
+The per-generator functions (gap, eigenvalues, true_decay_rate)
+recompute on every call.  Per chain, the reversibility verdict, the
+symmetrized eigensystem and the complex spectrum are computed at most
+once by ChainAnalysis, memoized on the ChainSpec; spectral_report, the
+propagator, decay curves and the CLI all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -144,10 +151,73 @@ def true_decay_rate(Q: RateMatrix) -> float:
     semigroup deviation; it equals the gap for reversible chains and can
     exceed it for irreversible ones.
     """
-    lam = eigenvalues(Q)
+    return _slowest_rate(eigenvalues(Q), Q)
+
+
+def _slowest_rate(lam: tuple[complex, ...], Q: RateMatrix) -> float:
     tol = EIG_TOL * max(Q.max_rate, 1e-300)
     nonzero = [z for z in lam if abs(z) > tol]
     return float(-max(z.real for z in nonzero))
+
+
+class ChainAnalysis:
+    """The expensive spectral quantities of one chain, each computed at
+    most once and only when first read.
+
+    - ``reversible``/``violation``: the detailed-balance test, at the
+      REV_TOL in force when first read.
+    - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition,
+      applied to Q when reversible and to its reversibilization
+      otherwise, so ``gap`` = lam[1] on both branches.
+    - ``spectrum``: the sorted complex spectrum of Q (one eigvals), and
+      ``true_decay_rate`` read from it.
+
+    Obtain one through chain_analysis(spec), which memoizes it on the
+    spec.  It holds the generator and stationary law, not the spec, so
+    the memo forms no reference cycle and is freed with the spec.
+    """
+
+    def __init__(self, rate_matrix: RateMatrix, stationary: Distribution):
+        self.rate_matrix = rate_matrix
+        self.stationary = stationary
+
+    @cached_property
+    def _verdict(self) -> tuple[bool, float]:
+        return is_reversible(self.rate_matrix, self.stationary)
+
+    @property
+    def reversible(self) -> bool:
+        return self._verdict[0]
+
+    @property
+    def violation(self) -> float:
+        return self._verdict[1]
+
+    @cached_property
+    def eigensystem(
+        self,
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+        Q, pi = self.rate_matrix, self.stationary
+        return symmetric_eigendecomposition(Q if self.reversible else reversibilize(Q, pi), pi)
+
+    @property
+    def gap(self) -> float:
+        return float(self.eigensystem[0][1])
+
+    @cached_property
+    def spectrum(self) -> tuple[complex, ...]:
+        return eigenvalues(self.rate_matrix)
+
+    @property
+    def true_decay_rate(self) -> float:
+        return _slowest_rate(self.spectrum, self.rate_matrix)
+
+
+def chain_analysis(spec: ChainSpec) -> ChainAnalysis:
+    """The analysis of ``spec``, built on first use and kept on the spec."""
+    if spec._analysis is None:
+        object.__setattr__(spec, "_analysis", ChainAnalysis(spec.rate_matrix, spec.stationary))
+    return spec._analysis
 
 
 def ergodicity_constant(pi: Distribution, f: WeightFunction) -> NDArray[np.float64]:
@@ -162,20 +232,17 @@ def spectral_report(spec: ChainSpec) -> SpectralReport:
 
     The certified rate equals the gap in both directions for reversible
     chains and is a lower bound for irreversible ones; the slowest true
-    decay mode is always reported alongside.
+    decay mode is always reported alongside.  Reads the chain's memoized
+    ChainAnalysis: one eigh and one eigvals per spec.
     """
-    rev, _ = is_reversible(spec.rate_matrix, spec.stationary)
-    g = gap(spec.rate_matrix, spec.stationary)
-    lam = eigenvalues(spec.rate_matrix)
-    tdr = true_decay_rate(spec.rate_matrix)
-    C = ergodicity_constant(spec.stationary, spec.weight)
+    a = chain_analysis(spec)
     return SpectralReport(
-        gap=g,
-        eigenvalues=lam,
-        reversible=rev,
-        rate_epsilon_max=g,
-        true_decay_rate=tdr,
-        constants=C,
+        gap=a.gap,
+        eigenvalues=a.spectrum,
+        reversible=a.reversible,
+        rate_epsilon_max=a.gap,
+        true_decay_rate=a.true_decay_rate,
+        constants=ergodicity_constant(spec.stationary, spec.weight),
     )
 
 

@@ -1,9 +1,11 @@
-"""Shared fixtures: canonical chains and tolerance restoration."""
+"""Shared fixtures: canonical chains, tolerance restoration and
+decomposition counters."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ergorate import chain_core
 from ergorate.chain_core import build_birth_death, build_example21, build_example22
@@ -15,6 +17,20 @@ def _restore_tolerances():
     saved = (chain_core.ROW_TOL, chain_core.STAT_TOL, chain_core.REV_TOL)
     yield
     chain_core.ROW_TOL, chain_core.STAT_TOL, chain_core.REV_TOL = saved
+
+
+@pytest.fixture
+def decomposition_counts(monkeypatch):
+    """Live counts of numpy.linalg.eigh/eigvals and scipy.linalg.expm calls
+    (ergorate looks these up on the modules at call time)."""
+    counts = {"eigh": 0, "eigvals": 0, "expm": 0}
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvals"), (scipy.linalg, "expm")):
+        def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
 
 
 @pytest.fixture

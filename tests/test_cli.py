@@ -27,6 +27,28 @@ def write_chain(tmp_path, name, obj):
     return str(path)
 
 
+# ------------------------------------------------- decompositions per call
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["analyze", *EX21_ARGS], {"eigh": 1, "eigvals": 1, "expm": 0}),
+        (["analyze", "--family", "example22"], {"eigh": 1, "eigvals": 1, "expm": 0}),
+        # a reversible chain's rate guess is its gap: no eigvals
+        (["fit", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
+        (["decay", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
+        # three states sit below the row-stepping crossover: one dense
+        # expm per grid point
+        (["decay", "--family", "example22"], {"eigh": 1, "eigvals": 1, "expm": 60}),
+        (["drift", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
+    ],
+)
+def test_decompositions_per_call(capsys, decomposition_counts, argv, expected):
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert decomposition_counts == expected
+
+
 # ----------------------------------------------------------------- analyze
 
 def test_analyze_cycle_family(capsys):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_detailed_balance
+from conftest import random_detailed_balance, random_irreversible
 
+from ergorate import semigroup
 from ergorate.chain_core import (
     build_example21,
     chain_spec,
@@ -39,6 +40,7 @@ from ergorate.semigroup import (
     opnorm_inf_to_1,
     opnorm_inf_to_2,
 )
+from ergorate.spectral import chain_analysis, gap, spectral_report
 
 
 def two_state():
@@ -393,15 +395,85 @@ def test_opnorm_shape_mismatch():
 
 
 def test_weighted_deviation_contracts_at_gap_rate(bd6):
-    from ergorate.spectral import gap as gap_fn
-
-    g = gap_fn(bd6.rate_matrix, bd6.stationary)
+    g = gap(bd6.rate_matrix, bd6.stationary)
     prop = Propagator(bd6)
     d = np.sqrt(bd6.pi)
     for t in (0.5, 2.0):
         M = (d[:, None] * prop.deviation(t)) / d[None, :]
         top = np.linalg.svd(M, compute_uv=False)[0]
         assert top == pytest.approx(np.exp(-g * t), rel=1e-10)
+
+
+# ------------------------------------------- one analysis, row-only curves
+
+ABOVE = semigroup._ROW_STEPPING_MIN_N + 20
+
+
+def dense_chain(reversible, n, seed=3):
+    rng = np.random.default_rng(seed)
+    q = (random_detailed_balance if reversible else random_irreversible)(rng, n) / n
+    return chain_spec(validate(q), weight_function(rng.uniform(1.0, 3.0, n)))
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+@pytest.mark.parametrize("n", [7, ABOVE])
+def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
+    spec = dense_chain(reversible, n)
+    rep = spectral_report(spec)
+    grid = default_time_grid(rep.gap if rep.reversible else rep.true_decay_rate)
+    fit_rate(decay_curve(spec, 1, grid))
+    # small irreversible chains keep one dense expm per grid time
+    expm_calls = 60 if n < semigroup._ROW_STEPPING_MIN_N and not reversible else 0
+    assert decomposition_counts == {"eigh": 1, "eigvals": 1, "expm": expm_calls}
+    # the analysis is memoized on the spec; the per-generator functions are not
+    assert chain_analysis(spec) is chain_analysis(spec)
+    assert spectral_report(spec).to_dict() == rep.to_dict()
+    assert decomposition_counts["eigh"] == 1 and decomposition_counts["eigvals"] == 1
+    gap(spec.rate_matrix, spec.stationary)
+    assert decomposition_counts["eigh"] == 2
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+@pytest.mark.parametrize("n", [7, ABOVE])
+@pytest.mark.parametrize("method", ["spectral", "pade"])
+def test_row_curve_matches_full_deviation(reversible, n, method):
+    spec = dense_chain(reversible, n)
+    prop = Propagator(spec, method=method)
+    grid = default_time_grid(chain_analysis(spec).gap)
+    curve = decay_curve(spec, 2, grid, propagator=prop)
+    full = [f_norm(prop.deviation(t)[2], spec.weight) for t in grid]
+    assert curve.method == method
+    assert np.max(np.abs(curve.fnorms - full)) <= 1e-12 * spec.f.sum()
+
+
+def test_reversible_chain_forced_to_pade_steps_the_row(monkeypatch, decomposition_counts):
+    spec = dense_chain(True, ABOVE)
+    steps = []
+    original = semigroup.expm_multiply
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "expm_multiply", counted)
+    grid = default_time_grid(chain_analysis(spec).gap)
+    curve = decay_curve(spec, 0, grid, propagator=Propagator(spec, method="pade"))
+    assert curve.method == "pade"
+    assert curve.noise_floor == 1e-14
+    assert len(steps) == grid.size
+    assert decomposition_counts["expm"] == 0
+
+
+def test_row_stepping_takes_long_steps_densely(decomposition_counts):
+    # steps far beyond the chain's time scale: expm_multiply's cost grows
+    # with the step, so these go through one dense exponential each
+    spec = dense_chain(False, ABOVE)
+    grid = np.geomspace(0.01, 1e6, 12)
+    prop = Propagator(spec)
+    curve = decay_curve(spec, 0, grid, propagator=prop)
+    assert decomposition_counts["expm"] > 0
+    full = [f_norm(prop.deviation(t)[0], spec.weight) for t in grid]
+    assert np.max(np.abs(curve.fnorms - full)) <= 1e-12 * spec.f.sum()
 
 
 # --------------------------------------------------------------------- CSV

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from conftest import random_detailed_balance, random_irreversible
 from ergorate.chain_core import (
     RateMatrix,
     build_example21,
+    build_example22,
     chain_spec,
     distribution,
     dual,
+    is_reversible,
     stationary,
     validate,
     weight_function,
@@ -24,6 +28,7 @@ from ergorate.chain_core import (
 from ergorate.errors import EigenFailure, ErgorateError, NoDrift
 from ergorate.spectral import (
     DriftReport,
+    chain_analysis,
     drift_condition,
     eigenvalues,
     ergodicity_constant,
@@ -238,6 +243,29 @@ def test_spectral_report_to_dict_serializable(ex22):
     assert blob["reversible"] is False
     assert len(blob["eigenvalues"]) == 3
     assert all(len(pair) == 2 for pair in blob["eigenvalues"])
+
+
+def test_spectral_report_matches_per_generator_functions(ex21, ex22, bd6):
+    for spec in (ex21, ex22, bd6):
+        rep = spectral_report(spec)
+        assert rep.reversible == is_reversible(spec.rate_matrix, spec.stationary)[0]
+        assert rep.gap == gap(spec.rate_matrix, spec.stationary)
+        assert rep.eigenvalues == eigenvalues(spec.rate_matrix)
+        assert rep.true_decay_rate == true_decay_rate(spec.rate_matrix)
+        assert chain_analysis(spec).violation == is_reversible(spec.rate_matrix, spec.stationary)[1]
+
+
+def test_chain_analysis_is_freed_with_its_spec():
+    # the memo must not form a reference cycle: freed without the collector
+    spec = build_example22()
+    spectral_report(spec)
+    ref = weakref.ref(chain_analysis(spec))
+    gc.disable()
+    try:
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=20, deadline=None)
