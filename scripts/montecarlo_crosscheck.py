@@ -4,8 +4,7 @@
 Samples trajectory ensembles for the builtin families, estimates the
 weighted-norm distance to stationarity at a grid of times, and reports
 the z-score of each estimate against the matrix-exponential value.
-Everything is seeded, so a run is exactly reproducible; set
-ERGORATE_THREADS to parallelize the sampling without changing results.
+Everything is seeded, so a run is exactly reproducible.
 
 Usage:
     python3 scripts/montecarlo_crosscheck.py [--paths 50000] [--seed 8001]
@@ -19,7 +18,7 @@ import time
 import numpy as np
 
 from ergorate.chain_core import build_birth_death, build_example21, build_example22
-from ergorate.montecarlo import empirical_fnorm, sample_paths, worker_count
+from ergorate.montecarlo import empirical_fnorm, sample_paths
 from ergorate.semigroup import Propagator, f_norm
 from ergorate.spectral import spectral_report
 
@@ -44,7 +43,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=8001)
     args = ap.parse_args()
 
-    print(f"paths={args.paths} seed={args.seed} workers={worker_count()}")
+    print(f"paths={args.paths} seed={args.seed}")
     worst = 0.0
     for name, spec in families():
         report = spectral_report(spec)

@@ -54,16 +54,15 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise ErgorateError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
 
 
+_TOLERANCE_FLAGS = (("row_tol", "ROW_TOL"), ("stat_tol", "STAT_TOL"), ("rev_tol", "REV_TOL"))
+
+
 def _tolerances() -> dict:
-    return {
-        "row_tol": chain_core.ROW_TOL,
-        "stat_tol": chain_core.STAT_TOL,
-        "rev_tol": chain_core.REV_TOL,
-    }
+    return {flag: getattr(chain_core, name) for flag, name in _TOLERANCE_FLAGS}
 
 
 def _apply_overrides(args: argparse.Namespace) -> None:
-    for flag, name in (("row_tol", "ROW_TOL"), ("stat_tol", "STAT_TOL"), ("rev_tol", "REV_TOL")):
+    for flag, name in _TOLERANCE_FLAGS:
         value = getattr(args, flag, None)
         if value is not None:
             if value <= 0:
@@ -546,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved = _tolerances()
     try:
         _apply_overrides(args)
         return args.func(args)
@@ -554,6 +554,10 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 2
+    finally:
+        # overrides hold for this call only
+        for flag, name in _TOLERANCE_FLAGS:
+            setattr(chain_core, name, saved[flag])
 
 
 if __name__ == "__main__":

@@ -2,22 +2,29 @@
 
 Samples exact chain trajectories (exponential holding times, jump
 probabilities proportional to off-diagonal rates) and estimates the
-transition law and the weighted-norm decay empirically.  Every path
-owns a counter-based random stream keyed by (seed, path index), so the
-ensemble is bit-reproducible regardless of chunking or worker count,
-and paths are independent by construction.
+transition law and the weighted-norm decay empirically.
 
-Simulation is vectorized across paths: each path pre-draws blocks of
-unit exponentials and uniforms from its stream, the jump chains advance
-one transition per step for all paths at once, and blocks are extended
-(from each path's own stream) until every path outlives the horizon.
+Every random number is a pure function of (seed, path p, step k): step
+k of path p reads raw words 2k (hold) and 2k+1 (jump) of the
+Philox4x64-10 stream keyed by (seed mod 2^64, p), the stream numpy's
+``Philox(key=(seed, p)).random_raw()`` yields.  The counter-based
+generator (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+easy as 1, 2, 3", SC'11) is evaluated over arrays of keys and counters
+at once, so no per-path generator exists, and an ensemble is
+bit-reproducible under any chunking; growing it leaves earlier paths
+unchanged.
+
+Simulation is vectorized across paths.  Paths advance in fixed blocks
+of steps: a block of uniforms is drawn for the live paths, holds come
+from inversion (``-log1p(-u) / q_s``) and the next state from a binary
+search in a padded n x max_degree CDF table and one gather.  After each
+block only the paths whose last jump is still within the horizon go
+on, from where they stopped; no path is ever simulated twice.
 """
 
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +33,14 @@ from numpy.typing import NDArray
 from .chain_core import ChainSpec, Distribution, WeightFunction
 from .errors import ErgorateError
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14  # paths simulated at once: bounds the working memory
+_BLOCK = 16  # steps drawn per live path per round; even, so whole Philox outputs
+
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = 0xFFFFFFFF
+_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -59,19 +73,115 @@ class EmpiricalDecay:
     stderrs: NDArray[np.float64]
 
 
-def worker_count() -> int:
-    """Worker cap from ERGORATE_THREADS (default 1)."""
-    raw = os.environ.get("ERGORATE_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise ErgorateError(f"ERGORATE_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, v)
+def _mulhilo(m: int, x: NDArray[np.uint64]) -> tuple[NDArray[np.uint64], NDArray[np.uint64]]:
+    """High and low words of the 128-bit product m * x (64-bit m, x).
+
+    The high word is assembled from 32-bit limbs so that no partial sum
+    exceeds 64 bits (Warren, "Hacker's Delight", mulhu); the low word is
+    the wrapping uint64 product.  Updates run in place on temporaries.
+    """
+    m_lo, m_hi = m & _LO32, m >> 32
+    x_lo = x & _LO32
+    x_hi = x >> 32
+    t = x_lo * m_lo
+    t >>= 32
+    t += x_hi * m_lo
+    w = t & _LO32
+    x_lo *= m_hi
+    w += x_lo
+    w >>= 32
+    t >>= 32
+    x_hi *= m_hi
+    x_hi += t
+    x_hi += w
+    return x_hi, x * m
 
 
-def _path_generator(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(path_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _philox4x64(
+    c0: NDArray[np.uint64], k0: NDArray[np.uint64], k1: NDArray[np.uint64]
+) -> tuple[NDArray[np.uint64], ...]:
+    """Philox4x64-10 of the counter (c0, 0, 0, 0) under the key (k0, k1).
+
+    Arguments broadcast against each other.  The first rounds work on
+    the smaller shapes of their inputs; from the third round on every
+    word has the full broadcast shape.
+    """
+    zero = np.zeros(1, dtype=np.uint64)
+    x0, x1, x2, x3 = c0, zero, zero, zero
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return x0, x1, x2, x3
+
+
+def _uniforms(
+    seed: int, paths: NDArray[np.int64], k0: int, steps: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Hold and jump uniforms of steps k0 .. k0+steps-1 for each path.
+
+    Step k of path p reads raw words 2k and 2k+1 of the stream
+    ``Philox(key=(seed mod 2^64, p)).random_raw()`` and maps each word
+    w to ``(w >> 11) * 2^-53``, as ``Generator.random`` does.  numpy's
+    Philox fills words 4j .. 4j+3 from the counter j + 1, so one
+    counter serves two steps; k0 and steps must be even.
+    """
+    counters = np.arange(k0 // 2 + 1, (k0 + steps) // 2 + 1, dtype=np.uint64)[None, :]
+    key0 = np.full((1, 1), seed & _U64, dtype=np.uint64)
+    key1 = np.asarray(paths, dtype=np.uint64)[:, None]
+    # (paths, counters, 4) -> (paths, steps, 2): per step, words 2k and 2k+1
+    raw = np.stack(_philox4x64(counters, key0, key1), axis=-1).reshape(len(paths), steps, 2)
+    u = (raw >> 11).astype(np.float64) * 2.0**-53
+    return u[:, :, 0], u[:, :, 1]
+
+
+def _jump_table(
+    spec: ChainSpec,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.intp], int]:
+    """Exit rates and the padded jump table, flattened row by row.
+
+    Row s (``width`` entries, a power of two above every out-degree)
+    holds the cumulative jump probabilities of state s over its targets
+    in increasing order, padded with +inf, and the targets, padded with
+    the last one.  For u in [0, 1), ``target[s * width + #{cdf_s <= u}]``
+    is then target number ``min(#{cdf_s <= u}, deg_s - 1)``.
+    """
+    exit_rate = -np.diag(spec.q).copy()
+    off = spec.q.copy()
+    np.fill_diagonal(off, 0.0)
+    edge = off > 0.0
+    degree = edge.sum(axis=1)
+    top = int(degree.max())
+    width = 1 << top.bit_length()
+    # stable sort puts each row's targets first, in increasing order
+    order = np.argsort(~edge, axis=1, kind="stable")[:, :top]
+    real = np.arange(top) < degree[:, None]
+    last = np.take_along_axis(order, degree[:, None] - 1, axis=1)
+    cdf = np.full((spec.n, width), np.inf)
+    cdf[:, :top] = np.where(
+        real, np.cumsum(np.take_along_axis(off, order, axis=1), axis=1) / exit_rate[:, None], np.inf
+    )
+    target = np.repeat(last, width, axis=1)
+    target[:, :top] = np.where(real, order, last)
+    return exit_rate, cdf.ravel(), target.ravel(), width
+
+
+def _next_states(
+    cdf: NDArray[np.float64], target: NDArray[np.intp], width: int,
+    s: NDArray[np.intp], u: NDArray[np.float64],
+) -> NDArray[np.intp]:
+    """Jump targets of states s for jump uniforms u, from the flattened
+    table of ``_jump_table``: a branchless binary search finds
+    ``row = s * width + #{cdf_s <= u}``, then one gather."""
+    row = s * width
+    step = width >> 1
+    while step:
+        row += step * (cdf[row + (step - 1)] <= u)
+        step >>= 1
+    return target[row]
 
 
 def _simulate_chunk(
@@ -82,67 +192,62 @@ def _simulate_chunk(
     lo: int,
     hi: int,
 ) -> tuple[NDArray[np.int32], NDArray[np.float64], NDArray[np.int64]]:
-    """Simulate paths [lo, hi); returns (occupancy, hold_sum, hold_count)."""
-    m = hi - lo
+    """Simulate paths [lo, hi); returns (occupancy, hold_sum, hold_count).
+
+    Occupancy at t is the state after every jump at a time <= t.  The
+    holding statistics count each path's first hold and every later
+    hold that starts before the horizon.
+    """
     n = spec.n
-    exit_rate = -np.diag(spec.q).copy()
-    targets: list[NDArray[np.int_]] = []
-    cdfs: list[NDArray[np.float64]] = []
-    for s0 in range(n):
-        row = spec.q[s0].copy()
-        row[s0] = 0.0
-        nz = np.nonzero(row > 0.0)[0]
-        targets.append(nz)
-        cdfs.append(np.cumsum(row[nz]) / exit_rate[s0])
-
+    g = times.size
     horizon = float(times[-1])
-    gens = [_path_generator(seed, p) for p in range(lo, hi)]
-    block = max(8, int(np.ceil(horizon * float(exit_rate.max()) * 1.5 + 20)))
+    exit_rate, cdf, target, width = _jump_table(spec)
 
-    E = np.empty((m, 0))
-    U = np.empty((m, 0))
-    while True:
-        extraE = np.empty((m, block))
-        extraU = np.empty((m, block))
-        for r, gen in enumerate(gens):
-            extraE[r] = gen.standard_exponential(block)
-            extraU[r] = gen.random(block)
-        E = np.concatenate([E, extraE], axis=1)
-        U = np.concatenate([U, extraU], axis=1)
-        K = E.shape[1]
-
-        states = np.empty((m, K + 1), dtype=np.int64)
-        states[:, 0] = start
-        holds = np.empty((m, K))
-        for k in range(K):
-            s = states[:, k]
-            holds[:, k] = E[:, k] / exit_rate[s]
-            nxt = np.empty(m, dtype=np.int64)
-            for s0 in np.unique(s):
-                sel = s == s0
-                idx = np.searchsorted(cdfs[s0], U[sel, k], side="right")
-                idx = np.minimum(idx, len(targets[s0]) - 1)
-                nxt[sel] = targets[s0][idx]
-            states[:, k + 1] = nxt
-        jump_times = np.cumsum(holds, axis=1)
-        if bool(np.all(jump_times[:, -1] > horizon)):
-            break
-        block = K  # double the pre-drawn block and rebuild
-
-    occ = np.empty((m, times.size), dtype=np.int32)
-    for g, t in enumerate(times):
-        idx = (jump_times <= t).sum(axis=1)
-        occ[:, g] = states[np.arange(m), idx]
-
-    started = np.empty((m, K), dtype=bool)
-    started[:, 0] = True
-    started[:, 1:] = jump_times[:, :-1] < horizon
+    occ = np.empty((hi - lo) * g, dtype=np.int32)
     hold_sum = np.zeros(n)
     hold_count = np.zeros(n, dtype=np.int64)
-    visited = states[:, :K][started]
-    np.add.at(hold_sum, visited, holds[started])
-    np.add.at(hold_count, visited, 1)
-    return occ, hold_sum, hold_count
+    live = np.arange(hi - lo)  # rows of occ still running
+    state = np.full(live.size, start, dtype=np.intp)
+    clock = np.zeros(live.size)  # time of each live path's last jump
+    k0 = 0
+    while live.size:
+        m = live.size
+        u_hold, u_jump = _uniforms(seed, lo + live, k0, _BLOCK)
+        states = np.empty((m, _BLOCK + 1), dtype=np.intp)
+        states[:, 0] = state
+        for k in range(_BLOCK):
+            states[:, k + 1] = _next_states(cdf, target, width, states[:, k], u_jump[:, k])
+        holds = -np.log1p(-u_hold) / exit_rate[states[:, :_BLOCK]]
+        # stamps[:, k] is the time state k was entered; the cumulative sum
+        # runs in path order, so jump times do not depend on the block size
+        stamps = np.empty((m, _BLOCK + 1))
+        stamps[:, 0] = clock
+        stamps[:, 1:] = holds
+        np.cumsum(stamps, axis=1, out=stamps)
+
+        # state k holds on the grid points in [stamps[k], stamps[k + 1]),
+        # so a path's new grid points run from first[0] to first[-1]:
+        # write them all at once, path after path
+        first = np.searchsorted(times, stamps, side="left")
+        new = first[:, -1] - first[:, 0]
+        run_start = live * g + first[:, 0] - (np.cumsum(new) - new)
+        occ[np.repeat(run_start, new) + np.arange(new.sum())] = np.repeat(
+            states[:, :_BLOCK].ravel(), np.diff(first, axis=1).ravel()
+        )
+
+        counted = stamps[:, :_BLOCK] < horizon
+        if k0 == 0:
+            counted[:, 0] = True
+        visited = states[:, :_BLOCK][counted]
+        hold_sum += np.bincount(visited, weights=holds[counted], minlength=n)
+        hold_count += np.bincount(visited, minlength=n)
+
+        going = stamps[:, -1] <= horizon
+        live = live[going]
+        state = states[going, _BLOCK]
+        clock = stamps[going, -1]
+        k0 += _BLOCK
+    return occ.reshape(hi - lo, g), hold_sum, hold_count
 
 
 def sample_paths(
@@ -155,8 +260,8 @@ def sample_paths(
     """Draw an ensemble of exact trajectories started at state i.
 
     Identical (spec, i, times, n_paths, seed) give a bit-identical
-    ensemble; path chunks are merged by path index so the worker count
-    never changes the result.
+    ensemble, and path p is the same in every ensemble of more than p
+    paths: its stream depends on (seed, p) alone.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0.0) or times[0] < 0.0:
@@ -166,14 +271,10 @@ def sample_paths(
     if n_paths < 1:
         raise ErgorateError(f"need at least one path, got {n_paths}")
 
-    bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    workers = worker_count()
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _simulate_chunk(spec, i, times, seed, *b), bounds))
-    else:
-        parts = [_simulate_chunk(spec, i, times, seed, lo, hi) for lo, hi in bounds]
-
+    parts = [
+        _simulate_chunk(spec, i, times, seed, lo, min(lo + _CHUNK, n_paths))
+        for lo in range(0, n_paths, _CHUNK)
+    ]
     occupancy = np.concatenate([p[0] for p in parts], axis=0)
     hold_sum = sum(p[1] for p in parts)
     hold_count = sum(p[2] for p in parts)

@@ -10,6 +10,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from ergorate import chain_core, cli
 from ergorate.cli import main
 
 EX21_ARGS = ["--family", "example21", "--pi", "0.5,0.25,0.25", "--beta", "2"]
@@ -324,12 +325,33 @@ def test_rev_tol_override_flips_verdict(capsys):
 
 
 def test_default_tolerances_restored(capsys):
-    # previous test mutated module globals; the autouse fixture undoes it
+    # the previous test's override does not carry over
     code, out, _ = run(capsys, "analyze", "--family", "example22")
     assert code == 0
     blob = json.loads(out)
     assert blob["reversible"] is False
     assert blob["tolerances"]["rev_tol"] == 1e-9
+
+
+def test_overrides_do_not_outlive_the_call(capsys, monkeypatch):
+    # all calls in one test: the autouse fixture only restores between tests
+    defaults = (chain_core.ROW_TOL, chain_core.STAT_TOL, chain_core.REV_TOL)
+    code, out, _ = run(capsys, "gap", "--family", "example22", "--rev-tol", "10")
+    assert code == 0
+    assert json.loads(out)["reversible"] is True
+    code, out, _ = run(capsys, "gap", "--family", "example22")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["reversible"] is False
+    assert blob["tolerances"] == dict(zip(("row_tol", "stat_tol", "rev_tol"), defaults))
+
+    def broken(args):
+        raise RuntimeError("command failed")
+
+    monkeypatch.setattr(cli, "cmd_gap", broken)
+    with pytest.raises(RuntimeError):
+        main(["gap", "--family", "example22", "--row-tol", "1e-3", "--stat-tol", "1e-3"])
+    assert (chain_core.ROW_TOL, chain_core.STAT_TOL, chain_core.REV_TOL) == defaults
 
 
 def test_negative_tolerance_rejected(capsys):

@@ -8,17 +8,51 @@ import pytest
 from ergorate.chain_core import chain_spec, validate, weight_function
 from ergorate.errors import ErgorateError
 from ergorate.montecarlo import (
+    _CHUNK,
+    _jump_table,
+    _next_states,
+    _simulate_chunk,
+    _uniforms,
     empirical_fnorm,
     empirical_law,
     empirical_to_csv,
     sample_paths,
-    worker_count,
 )
 from ergorate.semigroup import Propagator, f_norm
 
 
 def two_state():
     return chain_spec(validate([[-1.0, 1.0], [1.0, -1.0]]), weight_function([1.0, 1.0]))
+
+
+def reference_path(spec, start, times, seed, p):
+    """Path p one step at a time from numpy's own Philox stream.
+
+    Step k uses raw words 2k (hold, by inversion) and 2k+1 (jump: target
+    min(#{cdf <= u}, deg - 1) over the increasing targets).  Returns the
+    occupancy and the counted (state, hold) pairs.
+    """
+    stream = np.random.Philox(key=np.array([seed % 2**64, p], dtype=np.uint64))
+    exit_rate = -np.diag(spec.q)
+    horizon = times[-1]
+    occ = np.empty(times.size, dtype=np.int32)
+    counted = []
+    state, clock, g = start, 0.0, 0
+    while not counted or clock <= horizon:
+        u_hold, u_jump = (stream.random_raw(2) >> 11) * 2.0**-53
+        hold = -np.log1p(-u_hold) / exit_rate[state]
+        if not counted or clock < horizon:
+            counted.append((state, hold))
+        row = spec.q[state].copy()
+        row[state] = 0.0
+        targets = np.nonzero(row > 0.0)[0]
+        cdf = np.cumsum(row[targets]) / exit_rate[state]
+        nxt = targets[min(np.searchsorted(cdf, u_jump, side="right"), targets.size - 1)]
+        while g < times.size and times[g] < clock + hold:
+            occ[g] = state
+            g += 1
+        state, clock = nxt, clock + hold
+    return occ, counted
 
 
 # ---------------------------------------------------------- reproducibility
@@ -47,28 +81,116 @@ def test_path_streams_are_per_path(ex22):
     assert np.array_equal(big.occupancy[:50], small.occupancy)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("ERGORATE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("ERGORATE_THREADS", "8")
-    assert worker_count() == 8
-    monkeypatch.setenv("ERGORATE_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("ERGORATE_THREADS", "oops")
-    with pytest.raises(ErgorateError):
-        worker_count()
-
-
-def test_threaded_run_matches_serial(ex22, monkeypatch):
-    # spans two chunks so the thread pool actually engages
+def test_chunk_boundary_keeps_prefix(ex22):
+    # a run spanning two chunks agrees with a one-chunk run on its prefix
     times = np.array([0.3, 0.9])
-    n_paths = 20000
-    monkeypatch.setenv("ERGORATE_THREADS", "1")
-    serial = sample_paths(ex22, 0, times, n_paths, seed=7)
-    monkeypatch.setenv("ERGORATE_THREADS", "2")
-    threaded = sample_paths(ex22, 0, times, n_paths, seed=7)
-    assert np.array_equal(serial.occupancy, threaded.occupancy)
-    assert np.array_equal(serial.holding_time_sum, threaded.holding_time_sum)
+    short = sample_paths(ex22, 0, times, _CHUNK - 5, seed=7)
+    long = sample_paths(ex22, 0, times, _CHUNK + 37, seed=7)
+    assert np.array_equal(long.occupancy[: _CHUNK - 5], short.occupancy)
+
+
+# ----------------------------------------------------------- stream oracle
+
+@pytest.mark.parametrize("seed", [0, 8001, 2**63, 2**63 + 12345, 2**64 - 1, -7])
+def test_uniforms_match_numpy_philox(seed):
+    # step k of path p reads raw words 2k (hold) and 2k+1 (jump) of
+    # Philox(key=(seed mod 2^64, p)), mapped as Generator.random maps them
+    paths = np.array([0, 1, 5, 40000, 2**40 + 3])
+    steps = 48
+    hold, jump = _uniforms(seed, paths, 0, steps)
+    later_hold, later_jump = _uniforms(seed, paths, 32, 16)
+    for r, p in enumerate(paths):
+        key = np.array([seed % 2**64, p], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(2 * steps)
+        u = (raw >> 11) * 2.0**-53
+        assert np.array_equal(hold[r], u[0::2])
+        assert np.array_equal(jump[r], u[1::2])
+        assert np.array_equal(later_hold[r], u[64::2])
+        assert np.array_equal(later_jump[r], u[65::2])
+    if seed >= 0:
+        key = np.array([seed, paths[2]], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(gen.random(2 * steps)[0::2], hold[2])
+
+
+def test_ensemble_matches_step_by_step_reference(ex22, bd6):
+    rng = np.random.default_rng(12)
+    q = rng.uniform(0.2, 2.0, (6, 6))
+    q[rng.uniform(size=(6, 6)) < 0.4] = 0.0  # out-degrees from 1 to 5
+    q[np.arange(6), (np.arange(6) + 1) % 6] = 1.0  # keep it irreducible
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    sparse = chain_spec(validate(q), weight_function(np.ones(6)))
+    times = np.array([0.0, 0.7, 0.7, 3.0, 9.5])
+    for spec, seed in ((ex22, 2**63 + 9), (bd6, 21), (sparse, -4)):
+        ens = sample_paths(spec, 1, times, 40, seed)
+        hold_sum = np.zeros(spec.n)
+        hold_count = np.zeros(spec.n, dtype=np.int64)
+        for p in range(40):
+            occ, counted = reference_path(spec, 1, times, seed, p)
+            assert np.array_equal(ens.occupancy[p], occ)
+            for state, hold in counted:
+                hold_sum[state] += hold
+                hold_count[state] += 1
+        assert np.array_equal(ens.holding_count, hold_count)
+        assert np.allclose(ens.holding_time_sum, hold_sum, rtol=1e-12, atol=0.0)
+
+
+def test_next_states_follow_the_cdf_rule(ex22, bd6):
+    # state 0's jump probabilities sum to 1 - 2^-52: a uniform above that
+    # must still pick the last target
+    nudged = np.array([[0, 0.1, 0.2, 0.3], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0.0]])
+    np.fill_diagonal(nudged, -nudged.sum(axis=1))
+    nudged[0, 0] = np.nextafter(nudged[0, 0], -1.0)
+    dense = np.random.default_rng(5).uniform(0.1, 1.0, (12, 12))
+    np.fill_diagonal(dense, 0.0)
+    np.fill_diagonal(dense, -dense.sum(axis=1))
+    specs = [ex22, bd6] + [
+        chain_spec(validate(q), weight_function(np.ones(len(q)))) for q in (nudged, dense)
+    ]
+    for spec in specs:
+        _, cdf, target, width = _jump_table(spec)
+        for s in range(spec.n):
+            row = spec.q[s].copy()
+            row[s] = 0.0
+            targets = np.nonzero(row > 0.0)[0]
+            steps = np.cumsum(row[targets]) / -spec.q[s, s]
+            u = np.concatenate(
+                [[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], steps, np.nextafter(steps, 0.0)]
+            )
+            u = u[u < 1.0]
+            expect = targets[np.minimum(np.searchsorted(steps, u, side="right"), targets.size - 1)]
+            got = _next_states(cdf, target, width, np.full(u.size, s), u)
+            assert np.array_equal(got, expect)
+
+
+def test_horizon_zero_counts_first_hold(ex22):
+    ens = sample_paths(ex22, 2, np.array([0.0]), 50, seed=8)
+    assert np.all(ens.occupancy == 2)
+    assert ens.holding_count.tolist() == [0, 0, 50]
+
+
+def test_path_alone_matches_path_among_long_lived_paths():
+    # state 0 is slow and states 1, 2 swap fast: paths that leave state 0
+    # early make many jumps (many blocks) before the horizon, others one
+    spec = chain_spec(
+        validate([[-0.3, 0.3, 0.0], [0.01, -30.01, 30.0], [0.0, 30.0, -30.0]]),
+        weight_function([1.0, 1.0, 1.0]),
+    )
+    times = np.array([0.0, 1.0, 2.5, 4.0])
+    m = 60
+    occ, hold_sum, hold_count = _simulate_chunk(spec, 0, times, 5, 0, m)
+    assert np.any(np.all(occ == 0, axis=1))  # a path that never left state 0
+    assert hold_count.sum() > 20 * m  # while others ran through many blocks
+    alone_sum = np.zeros(3)
+    alone_count = np.zeros(3, dtype=np.int64)
+    for p in range(m):
+        occ_p, sum_p, count_p = _simulate_chunk(spec, 0, times, 5, p, p + 1)
+        assert np.array_equal(occ_p[0], occ[p])
+        alone_sum += sum_p
+        alone_count += count_p
+    assert np.array_equal(alone_count, hold_count)
+    assert np.allclose(alone_sum, hold_sum, rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------------ basics
