@@ -20,8 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ErgorateError,
@@ -159,7 +157,10 @@ def validate(q_raw: Sequence[Sequence[float]] | NDArray, repair: bool = False) -
     NonConservative
         A row sum exceeds ROW_TOL * max|q_ij| in strict mode.
     Reducible
-        The positive-rate digraph is not strongly connected.
+        The positive-rate digraph is not strongly connected: some state
+        cannot be reached from state 0 along positive rates, or cannot
+        reach it.  Both are found by expanding a breadth-first frontier
+        from state 0 in the digraph and in its transpose.
     """
     q = np.array(q_raw, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -189,9 +190,16 @@ def validate(q_raw: Sequence[Sequence[float]] | NDArray, repair: bool = False) -
             i = int(np.argmax(np.abs(rowsum)))
             raise NonConservative(f"row {i} sums to {rowsum[i]:.3e}, exceeds tolerance")
 
-    ncomp, _ = connected_components(csr_matrix(off > 0.0), connection="strong")
-    if ncomp != 1:
-        raise Reducible(f"positive-rate digraph has {ncomp} strongly connected components")
+    adj = off > 0.0
+    for graph, relation in ((adj, "is not reachable from"), (adj.T, "cannot reach")):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        front = seen.copy()
+        while front.any():
+            front = graph[front].any(axis=0) & ~seen
+            seen |= front
+        if not seen.all():
+            raise Reducible(f"state {int(np.argmin(seen))} {relation} state 0 along positive rates")
 
     return RateMatrix(n=n, q=_frozen(q))
 

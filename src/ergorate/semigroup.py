@@ -16,6 +16,14 @@ small chains; from _ROW_STEPPING_MIN_N states on, it propagates the unit
 row along the grid with the action of the exponential
 (scipy.sparse.linalg.expm_multiply) and never forms exp(tQ).
 
+scipy is imported only inside the functions that take an exponential:
+the Pade route of Propagator and the dual-semigroup cross-check of
+mu_ft_norm.  Importing ergorate, and everything computed from the
+eigensystem alone, loads numpy only, which more than halves the
+start-up cost of a CLI call.  The calls go through the module
+attributes (scipy.linalg.expm, scipy.sparse.linalg.expm_multiply), so
+patching those counts them.
+
 Rate fitting supports a plain log-linear mode for monotone curves and a
 peak-envelope mode for oscillating ones.  Oscillating curves from
 complex spectra carry several interleaved families of local maxima per
@@ -31,9 +39,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
-from scipy.sparse.linalg import expm_multiply
 
 from .chain_core import ChainSpec, WeightFunction, dual
 from .errors import ErgorateError, InsufficientData, NoiseFloor, Overflow, TooLarge
@@ -165,6 +171,8 @@ class Propagator:
         self._check_time(t)
         if self.method == "spectral":
             return (self._psi * np.exp(-t * self._lam)[None, :]) @ self._phi
+        import scipy.linalg
+
         return scipy.linalg.expm(t * self.spec.q)
 
     def deviation(self, t: float) -> NDArray[np.float64]:
@@ -179,6 +187,8 @@ class Propagator:
         if self.method == "spectral":
             decay = np.exp(-t * self._lam[1:])
             return (self._psi[:, 1:] * decay[None, :]) @ self._phi[1:, :]
+        import scipy.linalg
+
         return scipy.linalg.expm(t * self.spec.q) - self._limit
 
     def _row_deviations(self, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -192,6 +202,8 @@ class Propagator:
         if self.method == "spectral":
             decay = np.exp(-np.outer(times, self._lam[1:]))
             return (self._psi[i, 1:] * decay) @ self._phi[1:, :]
+        import scipy.linalg
+
         if spec.n < _ROW_STEPPING_MIN_N:
             return np.array([scipy.linalg.expm(t * spec.q)[i] for t in times]) - spec.pi
         # e_i P_t = (exp(t Q^T) e_i)^T, carried from each grid time to the
@@ -200,6 +212,8 @@ class Propagator:
         # norm is taken densely; this bounds the cost of long steps
         # (measured per step at n 130-300, expm_multiply is still the
         # cheaper one at n / 4).
+        import scipy.sparse.linalg
+
         qt = spec.q.T
         norm = float(np.max(np.abs(qt).sum(axis=0)))
         v = np.zeros(spec.n)
@@ -211,7 +225,7 @@ class Propagator:
             if h * norm > 0.25 * spec.n:
                 v = v @ scipy.linalg.expm(h * spec.q)
             elif h > 0.0:
-                v = expm_multiply(h * qt, v)
+                v = scipy.sparse.linalg.expm_multiply(h * qt, v)
             rows[k] = v
             prev = float(t)
         return rows - spec.pi
@@ -444,6 +458,8 @@ def mu_ft_norm(
         raise ErgorateError("mu must be a probability vector")
     prop = propagator if propagator is not None else Propagator(spec)
     direct = f_norm(mu @ prop.deviation(t), spec.weight)
+
+    import scipy.linalg
 
     Qhat = dual(spec.rate_matrix, spec.stationary)
     h = mu / spec.pi

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from ergorate.chain_core import (
     STAT_TOL,
@@ -89,6 +90,75 @@ def test_validate_rejects_single_state():
 def test_validate_rejects_nonfinite():
     with pytest.raises(NonConservative):
         validate([[-np.inf, np.inf], [1.0, -1.0]])
+
+
+def rates_on(adj, rng):
+    """Conservative rate matrix with random positive rates on the edges of adj."""
+    q = np.where(adj, rng.uniform(0.1, 2.0, adj.shape), 0.0)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def one_way_blocks(sizes, edge):
+    """Two directed cycles on consecutive states joined by the one edge given."""
+    adj = np.zeros((sum(sizes),) * 2, dtype=bool)
+    lo = 0
+    for size in sizes:
+        block = np.arange(lo, lo + size)
+        adj[block, np.roll(block, -1)] = True
+        lo += size
+    adj[edge] = True
+    return adj
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((2, 3), "state 3 cannot reach state 0"),
+        ((3, 2), "state 3 is not reachable from state 0"),
+    ],
+)
+def test_validate_names_a_state_cut_off_by_a_one_way_edge(edge, message):
+    q = rates_on(one_way_blocks((3, 3), edge), np.random.default_rng(0))
+    with pytest.raises(Reducible, match=message):
+        validate(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    shape=st.sampled_from(["empty", "path", "cycle", "two_blocks"]),
+    density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_validate_reducible_iff_not_strongly_connected(n, shape, density, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "two_blocks":
+        # each block strongly connected, one edge from one into the other,
+        # extra edges only inside the blocks
+        k = int(rng.integers(1, n))
+        edge = (int(rng.integers(0, k)), int(rng.integers(k, n)))
+        adj = one_way_blocks((k, n - k), edge if rng.random() < 0.5 else edge[::-1])
+        inside = np.zeros((n, n), dtype=bool)
+        inside[:k, :k] = inside[k:, k:] = True
+        adj |= inside & (rng.random((n, n)) < density)
+    else:
+        adj = rng.random((n, n)) < density
+        states = np.arange(n)
+        if shape == "path":
+            adj[states[:-1], states[1:]] = True
+        elif shape == "cycle":
+            adj[states, np.roll(states, -1)] = True
+    perm = rng.permutation(n)
+    adj = adj[np.ix_(perm, perm)]
+    strongly_connected = connected_components(adj, connection="strong")[0] == 1
+    q = rates_on(adj, rng)
+    if strongly_connected:
+        assert validate(q).n == n
+    else:
+        with pytest.raises(Reducible):
+            validate(q)
 
 
 def test_rate_matrix_is_read_only():

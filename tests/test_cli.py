@@ -6,10 +6,12 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ergorate
 from ergorate import chain_core, cli
 from ergorate.cli import main
 
@@ -390,3 +392,37 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["gap"] - 1.0) <= 1e-9
+
+
+# ------------------------------------------------------------- import cost
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import ergorate, ergorate.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [loaded()]
+for argv in (["gap", "--family", "example22"], ["decay", "--family", "example22"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ergorate.cli.main(argv) == 0
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_to_take_an_exponential():
+    # a fresh interpreter: this process has scipy loaded already
+    src = os.path.dirname(os.path.dirname(ergorate.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_gap, after_decay = json.loads(proc.stdout)
+    assert after_import == []
+    # gap reads eigenvalues only
+    assert after_gap == []
+    # example22 is irreversible: its curve takes the Pade route
+    assert "scipy.linalg" in after_decay
