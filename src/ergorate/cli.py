@@ -8,8 +8,7 @@ simulate (Monte-Carlo decay estimates as CSV).
 Exit codes: 0 success, 1 verification failure, 2 input error.  Errors
 are emitted to stderr as one-line JSON objects {"error", "message"}.
 Tolerance overrides are accepted via flags and echoed in JSON outputs;
-the defaults are the module constants.  ERGORATE_THREADS caps the
-worker count of the Monte-Carlo sampler.
+the defaults are the module constants.
 """
 
 from __future__ import annotations

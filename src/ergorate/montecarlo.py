@@ -10,9 +10,11 @@ Philox4x64-10 stream keyed by (seed mod 2^64, p), the stream numpy's
 ``Philox(key=(seed, p)).random_raw()`` yields.  The counter-based
 generator (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
 easy as 1, 2, 3", SC'11) is evaluated over arrays of keys and counters
-at once, so no per-path generator exists, and an ensemble is
-bit-reproducible under any chunking; growing it leaves earlier paths
-unchanged.
+at once, so no per-path generator exists.  The paths of an ensemble,
+and so its occupancy and holding counts, are the same under any
+chunking, and growing it leaves earlier paths unchanged.  Holding-time
+sums are float sums taken block by block and chunk by chunk, so their
+last bits (about 1e-15 relative) depend on the chunk size.
 
 Simulation is vectorized across paths.  Paths advance in fixed blocks
 of steps: a block of uniforms is drawn for the live paths, holds come
@@ -266,7 +268,9 @@ def sample_paths(
 
     Identical (spec, i, times, n_paths, seed) give a bit-identical
     ensemble, and path p is the same in every ensemble of more than p
-    paths: its stream depends on (seed, p) alone.
+    paths: its stream depends on (seed, p) alone.  Occupancy and holding
+    counts therefore do not depend on how paths are split into chunks;
+    ``holding_time_sum`` is added up chunk by chunk, so its last bits do.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0.0) or times[0] < 0.0:

@@ -11,18 +11,22 @@ analysis (spectral.chain_analysis), so it is computed once per chain.
 
 Decay curves need only the start state's row of P_t.  The spectral route
 evaluates every grid time in one (G x n) @ (n x n) product.  The Pade
-route takes a dense scaling-and-squaring exponential per grid time on
-small chains; from _ROW_STEPPING_MIN_N states on, it propagates the unit
-row along the grid with the action of the exponential
-(scipy.sparse.linalg.expm_multiply) and never forms exp(tQ).
+route uniformizes (Jensen 1953; Grassmann 1977): with Lam the largest
+exit rate, P = I + Q / Lam is stochastic and entrywise nonnegative, and
+e_i exp(tQ) = sum_k Pois(k; Lam t) e_i P^k.  Walking the grid, every
+time within _UNIFORM_TERMS / Lam of the last time reached comes from one
+sequence of row-vector products, weighted by Poisson probabilities
+computed in log space; a longer gap is taken with one dense
+scaling-and-squaring exponential.  Every term is nonnegative, so the row
+carries no cancellation.
 
-scipy is imported only inside the functions that take an exponential:
-the Pade route of Propagator and the dual-semigroup cross-check of
-mu_ft_norm.  Importing ergorate, and everything computed from the
-eigensystem alone, loads numpy only, which more than halves the
-start-up cost of a CLI call.  The calls go through the module
-attributes (scipy.linalg.expm, scipy.sparse.linalg.expm_multiply), so
-patching those counts them.
+scipy is imported only inside the functions that take a dense
+exponential: the Pade route's matrix/deviation, a decay curve's long
+gaps, and the dual-semigroup cross-check of mu_ft_norm.  Importing
+ergorate, everything computed from the eigensystem alone, and decay
+curves on non-stiff chains load numpy only, which more than halves the
+start-up cost of a CLI call.  The calls go through the module attribute
+scipy.linalg.expm, so patching it counts them.
 
 Rate fitting supports a plain log-linear mode for monotone curves and a
 peak-envelope mode for oscillating ones.  Oscillating curves from
@@ -50,7 +54,7 @@ from .spectral import chain_analysis, ergodicity_constant
 _MAX_TIME_RATE = 1e12
 
 # Absolute accuracy of deviations obtained by subtracting the limit
-# matrix from a Pade-computed exponential.
+# from a Pade-computed exponential or a uniformized row.
 _PADE_FLOOR = 1e-14
 # The spectral route computes deviations with relative accuracy; its
 # floor is the edge of normal double range.
@@ -58,13 +62,20 @@ _SPECTRAL_FLOOR = 1e-300
 
 _NEGATIVE_DUST = 1e-12
 
-# Pade-route decay curves switch from one dense exp(tQ) per grid time to
-# propagating the start row with expm_multiply at this many states.
-# Measured on a 60-point default grid (2-vCPU x86 VM, 1 BLAS thread):
-# the two cost about the same at n = 60, stepping is 3x cheaper at
-# n = 100 and 6x at n = 130, and below n = 50 its fixed cost of about
-# 0.2 ms per call loses.
-_ROW_STEPPING_MIN_N = 60
+# Term budget B of one uniformization segment: a decay curve evaluates
+# every grid time within B / (largest exit rate) of the last time reached
+# from one sequence of row-vector products, and takes a longer gap with
+# one dense exponential.  Measured on a 2-vCPU x86 VM (numpy 2.4, scipy
+# 1.17, one BLAS thread, best of 9), a one-time segment of Poisson mean
+# B costs the same as one dense row exponential over its span at B ~ 20
+# for n = 50, ~ 100 for n = 80, ~ 450 for n = 130 and ~ 1200 for
+# n = 200-300; at n <= 20 the dense step is cheaper for any B (0.02-0.05
+# ms against a segment's fixed 0.11 ms).  B is the crossover at n = 80,
+# the middle of that range on a log scale.
+_UNIFORM_TERMS = 100
+
+# Upper Poisson tail left out of each uniformization segment.
+_POISSON_TAIL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -139,8 +150,10 @@ class Propagator:
     analysis, so building several propagators for one spec decomposes
     once.  ``matrix``, ``deviation`` and ``snapshot`` return full n x n
     matrices; snapshots at distinct times are independent (and may be
-    taken concurrently).  Decay curves read only one row per time; see
-    decay_curve.
+    taken concurrently).  Decay curves read only one row per time: on
+    the spectral route from one matrix product, on the Pade route by
+    uniformization with a dense exponential for long gaps (see the
+    module docstring).
     """
 
     def __init__(self, spec: ChainSpec, method: str = "auto"):
@@ -198,37 +211,10 @@ class Propagator:
         """
         for t in (times[0], times[-1]):
             self._check_time(float(t))
-        spec = self.spec
         if self.method == "spectral":
             decay = np.exp(-np.outer(times, self._lam[1:]))
             return (self._psi[i, 1:] * decay) @ self._phi[1:, :]
-        import scipy.linalg
-
-        if spec.n < _ROW_STEPPING_MIN_N:
-            return np.array([scipy.linalg.expm(t * spec.q)[i] for t in times]) - spec.pi
-        # e_i P_t = (exp(t Q^T) e_i)^T, carried from each grid time to the
-        # next.  expm_multiply's work grows linearly with ||h Q||_1, a dense
-        # exponential's only with its log, so a step past n / 4 in that
-        # norm is taken densely; this bounds the cost of long steps
-        # (measured per step at n 130-300, expm_multiply is still the
-        # cheaper one at n / 4).
-        import scipy.sparse.linalg
-
-        qt = spec.q.T
-        norm = float(np.max(np.abs(qt).sum(axis=0)))
-        v = np.zeros(spec.n)
-        v[i] = 1.0
-        rows = np.empty((times.size, spec.n))
-        prev = 0.0
-        for k, t in enumerate(times):
-            h = float(t) - prev
-            if h * norm > 0.25 * spec.n:
-                v = v @ scipy.linalg.expm(h * spec.q)
-            elif h > 0.0:
-                v = scipy.sparse.linalg.expm_multiply(h * qt, v)
-            rows[k] = v
-            prev = float(t)
-        return rows - spec.pi
+        return _uniformized_rows(self.spec.q, i, times) - self.spec.pi
 
     def snapshot(self, t: float) -> SemigroupSnapshot:
         """P_t with dust clamped, row-stochasticity enforced."""
@@ -245,6 +231,78 @@ class Propagator:
         if row_err > 1e-10:
             raise ErgorateError(f"semigroup rows deviate from stochastic by {row_err:.3e}")
         return SemigroupSnapshot(t=float(t), P=P, method=self.method)
+
+
+def _poisson_weights(mu: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Poisson probabilities Pois(k; mu_g), shape (K, G): one column per
+    mean, k = 0..K-1.
+
+    K is the first count whose upper tail, for the largest mean, holds
+    less than _POISSON_TAIL; smaller means have smaller tails.  The
+    log-weights are summed outward from each column's mode, log(mu / j)
+    one term at a time, so the partial sums stay small where the weights
+    matter, e^-mu never underflows, and mu = 0 gives the unit weight at
+    k = 0.  Each column is normalized by its sum.
+    """
+    top = float(mu.max())
+    # by a Chernoff bound the tail past this count is below 1e-18 for any
+    # mean up to 1e4, far above the _UNIFORM_TERMS a segment spans
+    k = np.arange(int(np.ceil(top + 9.0 * np.sqrt(top))) + 40)[:, None]
+    mode = np.floor(mu)
+    with np.errstate(divide="ignore"):
+        r = np.log(mu / np.maximum(k, 1))
+    # log(w_k / w_mode): above the mode the sum of r_j over mode < j <= k,
+    # below it minus the sum over k < j <= mode
+    above = np.cumsum(np.where(k > mode, r, 0.0), axis=0)
+    below = np.zeros_like(above)
+    below[:-1] = np.cumsum(np.where(k <= mode, r, 0.0)[:0:-1], axis=0)[::-1]
+    w = np.exp(above - below)
+    w /= w.sum(axis=0)
+    tail = np.cumsum(w[::-1, -1])[::-1]
+    return w[: int(np.argmax(tail < _POISSON_TAIL))]
+
+
+def _uniformized_rows(q: NDArray[np.float64], i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Rows e_i exp(tQ) for increasing nonnegative ``times``, shape (G, n).
+
+    Uniformization: with Lam the largest exit rate, P = I + Q / Lam is
+    entrywise nonnegative and row-stochastic, and
+    e_i exp(tQ) = sum_k Pois(k; Lam t) e_i P^k, a sum of nonnegative
+    terms with no cancellation.  The row is carried along the grid from
+    the last time reached: all grid times within _UNIFORM_TERMS / Lam of
+    it come from one sequence v, vP, ..., vP^K and one (G x K) @ (K x n)
+    product; a longer gap is taken with one dense exponential.
+    """
+    n = q.shape[0]
+    off = q - np.diag(np.diag(q))
+    exits = off.sum(axis=1)
+    lam = float(exits.max())
+    P = off / lam
+    np.fill_diagonal(P, 1.0 - exits / lam)
+    span = _UNIFORM_TERMS / lam
+    rows = np.empty((times.size, n))
+    v = np.zeros(n)
+    v[i] = 1.0
+    t0 = 0.0
+    j = 0
+    while j < times.size:
+        end = int(np.searchsorted(times, t0 + span, side="right"))
+        if end == j:
+            import scipy.linalg
+
+            rows[j] = v @ scipy.linalg.expm((times[j] - t0) * q)
+            end = j + 1
+        else:
+            w = _poisson_weights(lam * (times[j:end] - t0))
+            powers = np.empty((w.shape[0], n))
+            powers[0] = v
+            for k in range(1, w.shape[0]):
+                np.dot(powers[k - 1], P, out=powers[k])
+            rows[j:end] = w.T @ powers
+        t0 = float(times[end - 1])
+        v = rows[end - 1]
+        j = end
+    return rows
 
 
 def expm(spec: ChainSpec, t: float, method: str = "auto") -> SemigroupSnapshot:
@@ -281,8 +339,11 @@ def decay_curve(
     """Weighted-norm distance of P_t(i, .) to stationarity over a grid,
     with the theoretical exponential envelope alongside.
 
-    Only row i of P_t is computed (see Propagator's routes).  The
-    envelope rate is the gap from the chain's memoized analysis.
+    Only row i of P_t is computed: one matrix product on the spectral
+    route, a uniformization sweep on the Pade route (row-vector products
+    with Poisson weights, one dense exponential per grid gap longer than
+    _UNIFORM_TERMS over the largest exit rate).  The envelope rate is the
+    gap from the chain's memoized analysis.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:

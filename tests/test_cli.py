@@ -40,9 +40,8 @@ def write_chain(tmp_path, name, obj):
         # a reversible chain's rate guess is its gap: no eigvals
         (["fit", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
         (["decay", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
-        # three states sit below the row-stepping crossover: one dense
-        # expm per grid point
-        (["decay", "--family", "example22"], {"eigh": 1, "eigvals": 1, "expm": 60}),
+        # irreversible: the Pade route uniformizes the row, no dense expm
+        (["decay", "--family", "example22"], {"eigh": 1, "eigvals": 1, "expm": 0}),
         (["drift", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
     ],
 )
@@ -404,7 +403,11 @@ def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 seen = [loaded()]
-for argv in (["gap", "--family", "example22"], ["decay", "--family", "example22"]):
+for argv in (
+    ["gap", "--family", "example22"],
+    ["decay", "--family", "example22"],
+    ["verify", "--n", "6"],
+):
     with contextlib.redirect_stdout(io.StringIO()):
         assert ergorate.cli.main(argv) == 0
     seen.append(loaded())
@@ -420,9 +423,11 @@ def test_scipy_loaded_only_to_take_an_exponential():
         [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    after_import, after_gap, after_decay = json.loads(proc.stdout)
+    after_import, after_gap, after_decay, after_verify = json.loads(proc.stdout)
     assert after_import == []
     # gap reads eigenvalues only
     assert after_gap == []
-    # example22 is irreversible: its curve takes the Pade route
-    assert "scipy.linalg" in after_decay
+    # example22 is irreversible: its curve is uniformized, no dense exponential
+    assert after_decay == []
+    # the identity checks take dense exponentials
+    assert "scipy.linalg" in after_verify

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ergorate import montecarlo
 from ergorate.chain_core import chain_spec, validate, weight_function
 from ergorate.errors import ErgorateError
 from ergorate.montecarlo import (
@@ -87,6 +88,20 @@ def test_chunk_boundary_keeps_prefix(ex22):
     short = sample_paths(ex22, 0, times, _CHUNK - 5, seed=7)
     long = sample_paths(ex22, 0, times, _CHUNK + 37, seed=7)
     assert np.array_equal(long.occupancy[: _CHUNK - 5], short.occupancy)
+
+
+def test_chunking_changes_only_the_last_bits_of_hold_sums(monkeypatch, bd6):
+    # paths do not depend on the chunk size; holding-time sums are added
+    # chunk by chunk, so only their rounding does
+    times = np.linspace(0.2, 3.0, 8)
+    runs = []
+    for chunk in (1 << 8, 1 << 14):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        runs.append(sample_paths(bd6, 0, times, 5000, seed=11))
+    small, large = runs
+    assert np.array_equal(small.occupancy, large.occupancy)
+    assert np.array_equal(small.holding_count, large.holding_count)
+    assert np.allclose(small.holding_time_sum, large.holding_time_sum, rtol=1e-14, atol=0.0)
 
 
 # ----------------------------------------------------------- stream oracle

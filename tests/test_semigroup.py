@@ -6,7 +6,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -407,7 +406,8 @@ def test_weighted_deviation_contracts_at_gap_rate(bd6):
 
 # ------------------------------------------- one analysis, row-only curves
 
-ABOVE = semigroup._ROW_STEPPING_MIN_N + 20
+# a size well above the small chains of these checks
+ABOVE = 80
 
 
 def dense_chain(reversible, n, seed=3):
@@ -417,15 +417,14 @@ def dense_chain(reversible, n, seed=3):
 
 
 @pytest.mark.parametrize("reversible", [True, False])
-@pytest.mark.parametrize("n", [7, ABOVE])
+@pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
 def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
     spec = dense_chain(reversible, n)
     rep = spectral_report(spec)
     grid = default_time_grid(rep.gap if rep.reversible else rep.true_decay_rate)
     fit_rate(decay_curve(spec, 1, grid))
-    # small irreversible chains keep one dense expm per grid time
-    expm_calls = 60 if n < semigroup._ROW_STEPPING_MIN_N and not reversible else 0
-    assert decomposition_counts == {"eigh": 1, "eigvals": 1, "expm": expm_calls}
+    # default-grid curves take no dense exponential on either route
+    assert decomposition_counts == {"eigh": 1, "eigvals": 1, "expm": 0}
     # the analysis is memoized on the spec; the per-generator functions are not
     assert chain_analysis(spec) is chain_analysis(spec)
     assert spectral_report(spec).to_dict() == rep.to_dict()
@@ -435,7 +434,7 @@ def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
 
 
 @pytest.mark.parametrize("reversible", [True, False])
-@pytest.mark.parametrize("n", [7, ABOVE])
+@pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
 @pytest.mark.parametrize("method", ["spectral", "pade"])
 def test_row_curve_matches_full_deviation(reversible, n, method):
     spec = dense_chain(reversible, n)
@@ -447,27 +446,98 @@ def test_row_curve_matches_full_deviation(reversible, n, method):
     assert np.max(np.abs(curve.fnorms - full)) <= 1e-12 * spec.f.sum()
 
 
-def test_reversible_chain_forced_to_pade_steps_the_row(monkeypatch, decomposition_counts):
+@pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
+def test_pade_rows_match_spectral_rows(n):
+    # on a reversible chain the spectral route's deviations carry
+    # relative accuracy, so they are the oracle for the Pade route's rows
+    spec = dense_chain(True, n)
+    grid = default_time_grid(chain_analysis(spec).gap)
+    pade = Propagator(spec, method="pade")
+    spectral = Propagator(spec, method="spectral")
+    for i in (0, n - 1):
+        err = np.abs(pade._row_deviations(i, grid) - spectral._row_deviations(i, grid))
+        assert np.max(err) <= 1e-14
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_pade_curve_on_a_grid_from_time_zero(reversible):
+    spec = dense_chain(reversible, 7)
+    prop = Propagator(spec, method="pade")
+    grid = np.linspace(0.0, 10.0 / chain_analysis(spec).gap, 40)
+    rows = prop._row_deviations(2, grid)
+    unit = np.zeros(spec.n)
+    unit[2] = 1.0
+    assert np.array_equal(rows[0], unit - spec.pi)
+    full = np.array([prop.deviation(t)[2] for t in grid])
+    assert np.max(np.abs(rows - full)) <= 1e-14
+    curve = decay_curve(spec, 2, grid, propagator=prop)
+    assert curve.fnorms[0] == pytest.approx(f_norm(unit - spec.pi, spec.weight), rel=1e-15)
+
+
+@pytest.fixture
+def segment_sizes(monkeypatch):
+    """Grid times evaluated by each uniformization segment, in order."""
+    sizes = []
+    original = semigroup._poisson_weights
+
+    def counted(mu):
+        sizes.append(mu.size)
+        return original(mu)
+
+    monkeypatch.setattr(semigroup, "_poisson_weights", counted)
+    return sizes
+
+
+def stiff_chain(seed=5, n=12):
+    # exit rates spanning 1e4
+    rng = np.random.default_rng(seed)
+    q = random_irreversible(rng, n) * np.geomspace(1.0, 1e4, n)[:, None]
+    return chain_spec(validate(q), weight_function(rng.uniform(1.0, 3.0, n)))
+
+
+def test_stiff_chain_is_uniformized_in_segments(segment_sizes, decomposition_counts):
+    # the fine grid spans many term budgets of the fastest state: each
+    # segment covers at most _UNIFORM_TERMS / (largest exit rate)
+    spec = stiff_chain()
+    grid = np.linspace(0.0, 0.05, 200)
+    prop = Propagator(spec)
+    rows = prop._row_deviations(0, grid)
+    assert prop.method == "pade"
+    lam = float(np.max(-np.diag(spec.q)))
+    assert len(segment_sizes) >= lam * grid[-1] / semigroup._UNIFORM_TERMS > 3
+    assert sum(segment_sizes) == grid.size
+    assert decomposition_counts["expm"] == 0
+    full = np.array([prop.deviation(t)[0] for t in grid])
+    assert np.max(np.abs(rows - full)) <= 1e-12
+
+
+def test_stiff_chain_takes_coarse_gaps_densely(segment_sizes, decomposition_counts):
+    # fine steps, then steps far beyond the term budget while the slow
+    # states are still far from equilibrium: segments and dense gaps alternate
+    spec = stiff_chain()
+    grid = np.concatenate([np.linspace(0.0, 0.01, 50), np.geomspace(0.02, 0.5, 8)])
+    prop = Propagator(spec)
+    rows = prop._row_deviations(0, grid)
+    assert segment_sizes and decomposition_counts["expm"] == 8
+    full = np.array([prop.deviation(t)[0] for t in grid])
+    assert np.abs(full[-1]).max() > 1e-3
+    assert np.max(np.abs(rows - full)) <= 1e-12
+
+
+def test_reversible_chain_forced_to_pade_steps_the_row(segment_sizes, decomposition_counts):
     spec = dense_chain(True, ABOVE)
-    steps = []
-    original = scipy.sparse.linalg.expm_multiply
-
-    def counted(*args, **kwargs):
-        steps.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
     grid = default_time_grid(chain_analysis(spec).gap)
     curve = decay_curve(spec, 0, grid, propagator=Propagator(spec, method="pade"))
     assert curve.method == "pade"
     assert curve.noise_floor == 1e-14
-    assert len(steps) == grid.size
+    # the default grid lies within one term budget: one segment
+    assert segment_sizes == [grid.size]
     assert decomposition_counts["expm"] == 0
 
 
 def test_row_stepping_takes_long_steps_densely(decomposition_counts):
-    # steps far beyond the chain's time scale: expm_multiply's cost grows
-    # with the step, so these go through one dense exponential each
+    # steps far beyond the chain's time scale: a uniformization segment's
+    # cost grows with the step, so these go through one dense exponential each
     spec = dense_chain(False, ABOVE)
     grid = np.geomspace(0.01, 1e6, 12)
     prop = Propagator(spec)
