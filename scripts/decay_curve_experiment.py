@@ -55,8 +55,7 @@ def main() -> int:
           f"{'fit rate':>10s} {'mode':>9s} {'max excess':>11s}")
     for name, spec in families():
         report = spectral_report(spec)
-        rate_guess = report.gap if report.reversible else report.true_decay_rate
-        grid = default_time_grid(rate_guess, points=args.points)
+        grid = default_time_grid(report.true_decay_rate, points=args.points)
         prop = Propagator(spec)
         for i in range(spec.n):
             curve = decay_curve(spec, i, grid, propagator=prop)

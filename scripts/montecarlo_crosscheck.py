@@ -47,7 +47,7 @@ def main() -> int:
     worst = 0.0
     for name, spec in families():
         report = spectral_report(spec)
-        rate = report.gap if report.reversible else report.true_decay_rate
+        rate = report.true_decay_rate
         times = np.linspace(0.3 / rate, 3.0 / rate, args.points)
         t0 = time.time()
         ens = sample_paths(spec, 0, times, args.paths, args.seed)

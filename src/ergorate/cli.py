@@ -105,15 +105,8 @@ def _emit(text: str, output: str | None) -> None:
         raise
 
 
-def _rate_guess(spec: ChainSpec) -> float:
-    """The gap for reversible chains, else the true decay rate; a
-    reversible chain needs no eigvals for it."""
-    a = chain_analysis(spec)
-    return a.gap if a.reversible else a.true_decay_rate
-
-
 def _grid_for(spec: ChainSpec, args: argparse.Namespace):
-    return default_time_grid(_rate_guess(spec), points=args.points, tmax=args.tmax)
+    return default_time_grid(chain_analysis(spec).true_decay_rate, points=args.points, tmax=args.tmax)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -202,7 +195,7 @@ def cmd_drift(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _resolve_chain(args)
-    tmax = args.tmax if args.tmax is not None else 10.0 / _rate_guess(spec)
+    tmax = args.tmax if args.tmax is not None else 10.0 / chain_analysis(spec).true_decay_rate
     times = np.linspace(0.0, tmax, args.points)
     ensemble = sample_paths(spec, args.state, times, args.paths, args.seed)
     emp = empirical_fnorm(ensemble, spec.stationary, spec.weight)

@@ -17,7 +17,11 @@ The per-generator functions (gap, eigenvalues, true_decay_rate)
 recompute on every call.  Per chain, the reversibility verdict, the
 symmetrized eigensystem and the complex spectrum are computed at most
 once by ChainAnalysis, memoized on the ChainSpec; spectral_report, the
-propagator, decay curves and the CLI all read from it.
+propagator, decay curves and the CLI all read from it.  On a chain
+judged reversible (within REV_TOL) the memoized spectrum is that of the
+symmetrized generator, read from the eigensystem: real, as accurate as a
+symmetric eigensolver makes it, and its slowest mode is the gap exactly.
+Only irreversible chains pay for a general eigvals.
 """
 
 from __future__ import annotations
@@ -169,8 +173,11 @@ class ChainAnalysis:
     - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition,
       applied to Q when reversible and to its reversibilization
       otherwise, so ``gap`` = lam[1] on both branches.
-    - ``spectrum``: the sorted complex spectrum of Q (one eigvals), and
-      ``true_decay_rate`` read from it.
+    - ``spectrum``: the spectrum of Q in eigenvalues() order, and
+      ``true_decay_rate`` read from it.  Reversible: -lam of the
+      eigensystem, the spectrum of the symmetrized generator, so
+      ``true_decay_rate`` equals ``gap`` exactly.  Irreversible: one
+      eigvals of Q.
 
     Obtain one through chain_analysis(spec), which memoizes it on the
     spec.  It holds the generator and stationary law, not the spec, so
@@ -206,6 +213,10 @@ class ChainAnalysis:
 
     @cached_property
     def spectrum(self) -> tuple[complex, ...]:
+        if self.reversible:
+            # lam ascending: -lam is already in eigenvalues()' order; 0.0 - lam
+            # keeps an exact zero mode +0.0 (unary minus would print -0.0)
+            return tuple((0.0 - self.eigensystem[0]).astype(complex).tolist())
         return eigenvalues(self.rate_matrix)
 
     @property
@@ -233,7 +244,9 @@ def spectral_report(spec: ChainSpec) -> SpectralReport:
     The certified rate equals the gap in both directions for reversible
     chains and is a lower bound for irreversible ones; the slowest true
     decay mode is always reported alongside.  Reads the chain's memoized
-    ChainAnalysis: one eigh and one eigvals per spec.
+    ChainAnalysis: one eigh per spec, plus one eigvals when the chain is
+    irreversible.  On a chain judged reversible within REV_TOL the
+    reported eigenvalues are those of the symmetrized generator.
     """
     a = chain_analysis(spec)
     return SpectralReport(

@@ -35,9 +35,9 @@ def write_chain(tmp_path, name, obj):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["analyze", *EX21_ARGS], {"eigh": 1, "eigvals": 1, "expm": 0}),
+        # a reversible chain's spectrum is read from its eigh: no eigvals
+        (["analyze", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
         (["analyze", "--family", "example22"], {"eigh": 1, "eigvals": 1, "expm": 0}),
-        # a reversible chain's rate guess is its gap: no eigvals
         (["fit", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
         (["decay", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
         # irreversible: the Pade route uniformizes the row, no dense expm

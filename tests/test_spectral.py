@@ -246,12 +246,24 @@ def test_spectral_report_to_dict_serializable(ex22):
 
 
 def test_spectral_report_matches_per_generator_functions(ex21, ex22, bd6):
-    for spec in (ex21, ex22, bd6):
+    q = random_irreversible(np.random.default_rng(40), 40)
+    irr40 = chain_spec(validate(q), weight_function(np.ones(40)))
+    assert not chain_analysis(irr40).reversible
+    for spec in (ex21, ex22, bd6, irr40):
         rep = spectral_report(spec)
         assert rep.reversible == is_reversible(spec.rate_matrix, spec.stationary)[0]
         assert rep.gap == gap(spec.rate_matrix, spec.stationary)
-        assert rep.eigenvalues == eigenvalues(spec.rate_matrix)
-        assert rep.true_decay_rate == true_decay_rate(spec.rate_matrix)
+        if rep.reversible:
+            # the symmetrized generator's spectrum, from the eigh: its
+            # slowest mode is the gap itself
+            tol = 1e-13 * spec.rate_matrix.max_rate
+            err = np.abs(np.array(rep.eigenvalues) - np.array(eigenvalues(spec.rate_matrix)))
+            assert np.max(err) <= tol
+            assert rep.true_decay_rate == rep.gap
+            assert abs(rep.true_decay_rate - true_decay_rate(spec.rate_matrix)) <= tol
+        else:
+            assert rep.eigenvalues == eigenvalues(spec.rate_matrix)
+            assert rep.true_decay_rate == true_decay_rate(spec.rate_matrix)
         assert chain_analysis(spec).violation == is_reversible(spec.rate_matrix, spec.stationary)[1]
 
 
@@ -268,17 +280,29 @@ def test_chain_analysis_is_freed_with_its_spec():
         gc.enable()
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31))
-def test_report_rate_is_gap_for_random_reversible(seed):
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=60),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_report_rate_is_gap_for_random_reversible(seed, n, log_scale):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 12))
-    q = random_detailed_balance(rng, n)
+    q = random_detailed_balance(rng, n) * 10.0**log_scale
     spec = chain_spec(validate(q), weight_function(np.ones(n)))
     rep = spectral_report(spec)
     assert rep.reversible
     assert abs(rep.rate_epsilon_max - rep.gap) == 0.0
-    assert abs(rep.true_decay_rate - rep.gap) <= 1e-8 * max(1.0, rep.gap)
+    # the spectrum is read from the eigh: the memoized tuple, real, sorted
+    # descending, and its slowest mode is the gap itself
+    lam = chain_analysis(spec).spectrum
+    assert lam is rep.eigenvalues
+    z = np.array(lam)
+    assert np.all(z.imag == 0.0)
+    assert np.all(np.diff(z.real) <= 0.0)
+    ref = np.sort_complex(np.linalg.eigvals(q))[::-1]
+    assert np.max(np.abs(z - ref)) <= 1e-12 * spec.rate_matrix.max_rate
+    assert rep.true_decay_rate == rep.gap
 
 
 # --------------------------------------------------------------------- drift
