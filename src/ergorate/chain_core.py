@@ -282,14 +282,18 @@ def is_reversible(Q: RateMatrix, pi: Distribution) -> tuple[bool, float]:
     return violation <= REV_TOL * scale, violation
 
 
+def _reversed_rates(Q: RateMatrix, pi: Distribution) -> NDArray[np.float64]:
+    """pi_j q_ji / pi_i for every (i, j), diagonal included, unvalidated."""
+    return (pi.p[None, :] * Q.q.T) / pi.p[:, None]
+
+
 def dual(Q: RateMatrix, pi: Distribution) -> RateMatrix:
     """Time-reversal dual generator, qhat_ij = pi_j q_ji / pi_i.
 
     The dual has the same stationary law; applying it twice returns Q.
     For reversible chains the dual equals Q itself.
     """
-    qhat = (pi.p[None, :] * Q.q.T) / pi.p[:, None]
-    return validate(qhat, repair=True)
+    return validate(_reversed_rates(Q, pi), repair=True)
 
 
 def reversibilize(Q: RateMatrix, pi: Distribution) -> RateMatrix:
@@ -299,8 +303,8 @@ def reversibilize(Q: RateMatrix, pi: Distribution) -> RateMatrix:
     coincides with that of Q, so it carries the variational gap of the
     original chain.
     """
-    qbar = 0.5 * (Q.q + dual(Q, pi).q)
-    return validate(qbar, repair=True)
+    # repair rewrites the diagonal, so the unvalidated dual's off-diagonals suffice
+    return validate(0.5 * (Q.q + _reversed_rates(Q, pi)), repair=True)
 
 
 def chain_spec(
@@ -512,10 +516,19 @@ def parse_chain_dict(obj: dict) -> ChainSpec:
 
 
 def load_chain_file(path: str) -> ChainSpec:
-    """Read a UTF-8 chain-spec JSON file; NaN/Infinity are rejected."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ErgorateError(f"malformed JSON in {path}: {exc}") from exc
+    """Read a UTF-8 chain-spec JSON file; NaN/Infinity are rejected.
+
+    A file that cannot be opened or is not UTF-8 raises ErgorateError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ErgorateError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ErgorateError(f"{path} is not UTF-8: {exc}") from exc
+    try:
+        obj = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ErgorateError(f"malformed JSON in {path}: {exc}") from exc
     return parse_chain_dict(obj)

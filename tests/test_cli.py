@@ -315,6 +315,20 @@ def test_nan_input_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["gap", "verify"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_is_an_input_error(capsys, tmp_path, command, kind):
+    path = {"missing": tmp_path / "absent.json", "directory": tmp_path, "not-utf8": tmp_path / "bom.json"}[kind]
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "ErgorateError"
+    assert str(path) in blob["message"]
+
+
 # --------------------------------------------------------------- overrides
 
 def test_rev_tol_override_flips_verdict(capsys):
@@ -361,6 +375,60 @@ def test_negative_tolerance_rejected(capsys):
     assert "positive" in json.loads(err)["message"]
 
 
+# ----------------------------------------------------------- cached parser
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch, fresh_parser):
+    builds = []
+    original = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["gap", "--family", "example22"], ["drift", *EX21_ARGS], ["verify", "--only", "gap"]):
+        assert run(capsys, *argv)[0] == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        (["fit", *EX21_ARGS, "--window", "1,7"], ["fit", *EX21_ARGS]),
+        (["decay", *EX21_ARGS, "--points", "11"], ["decay", *EX21_ARGS]),
+        (
+            ["simulate", "--family", "example22", "--paths", "200", "--seed", "5"],
+            ["simulate", "--family", "example22", "--paths", "200"],
+        ),
+    ],
+)
+def test_cached_parser_keeps_no_flag_between_calls(capsys, fresh_parser, first, then):
+    expected = run(capsys, *then)  # parsed by a parser built for this call
+    assert expected[0] == 0
+    assert run(capsys, *first) != expected
+    assert run(capsys, *then) == expected
+    if then[0] == "decay":
+        assert len(expected[1].strip().splitlines()) == 1 + 60
+
+
+def test_parse_error_leaves_the_parser_usable(capsys, fresh_parser):
+    assert run(capsys, "gap", "--family", "example22")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--family", "example22", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "gap", "--family", "example22")
+    assert code == 0
+    assert json.loads(out)["label"] == "example22"
+
+
 # ------------------------------------------------------------- file output
 
 def test_output_file_atomic(capsys, tmp_path):
@@ -370,6 +438,22 @@ def test_output_file_atomic(capsys, tmp_path):
     assert out == ""
     blob = json.loads(dest.read_text())
     assert abs(blob["gap"] - 1.0) <= 1e-9
+    leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".ergorate-")]
+    assert leftovers == []
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, target):
+    if target == "missing-dir":
+        dest = tmp_path / "absent" / "report.json"
+    else:
+        # the temporary file is written, then cannot replace a directory
+        dest = tmp_path / "taken"
+        dest.mkdir()
+    code, out, err = run(capsys, "gap", "--family", "example22", "--output", str(dest))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ErgorateError"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".ergorate-")]
     assert leftovers == []
 
