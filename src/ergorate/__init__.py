@@ -12,9 +12,11 @@ from .chain_core import (
     ROW_TOL,
     STAT_TOL,
     SUM_TOL,
+    FAMILIES,
     ChainSpec,
     Distribution,
     RateMatrix,
+    Tolerances,
     TruncatedChain,
     WeightFunction,
     build_birth_death,

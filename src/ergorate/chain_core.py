@@ -8,15 +8,16 @@ vector f >= 1 that defines the weighted total-variation norm used
 throughout the package.  This module owns the domain types, the
 invariant checks, the stationary solve, the time-reversal dual, the
 additive symmetrization, builders for the two closed-form example
-families plus birth-death chains, and a reflecting finite truncation of
-countable chains.
+families plus birth-death chains and their registry, the Tolerances the
+checks read, and a reflecting finite truncation of countable chains.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import math
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,11 +32,34 @@ from .errors import (
     ZeroRate,
 )
 
-# Tolerances (double precision, dense problems up to a few thousand states).
+# Read-only Tolerances defaults (double precision, up to a few thousand states).
 ROW_TOL = 1e-10    # row-sum residual, relative to max |q_ij|
 STAT_TOL = 1e-10   # stationarity residual ||pi Q||_inf, relative to max |q_ij|
 REV_TOL = 1e-9     # detailed-balance violation, relative to max_i!=j pi_i q_ij
 SUM_TOL = 1e-10    # probability-vector mass defect |sum p - 1|
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The three settable tolerances; ErgorateError unless each is positive and finite."""
+
+    row_tol: float = ROW_TOL
+    stat_tol: float = STAT_TOL
+    rev_tol: float = REV_TOL
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 < value < math.inf:
+                raise ErgorateError(f"{f.name} must be positive and finite, got {value!r}")
+
+
+def _floats(raw, name: str) -> NDArray[np.float64]:
+    """``raw`` as a new float array; ErgorateError naming ``name`` if it is not numeric."""
+    try:
+        return np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ErgorateError(f"{name} must be numeric: {exc}") from exc
 
 
 def _frozen(a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -92,7 +116,7 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A fully assembled chain: generator, weight, stationary law, label.
+    """A fully assembled chain: generator, weight, stationary law, label, tolerances.
 
     The spec is immutable, so its spectral analysis is computed at most
     once and kept in a private memo slot (see spectral.chain_analysis);
@@ -103,6 +127,7 @@ class ChainSpec:
     weight: WeightFunction
     stationary: Distribution
     label: str = ""
+    tol: Tolerances = Tolerances()
     _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -137,7 +162,9 @@ class TruncatedChain:
     retained_mass: float | None = None
 
 
-def validate(q_raw: Sequence[Sequence[float]] | NDArray, repair: bool = False) -> RateMatrix:
+def validate(
+    q_raw: Sequence[Sequence[float]] | NDArray, repair: bool = False, tol: Tolerances = Tolerances()
+) -> RateMatrix:
     """Check a raw square matrix and promote it to a RateMatrix.
 
     Parameters
@@ -152,17 +179,19 @@ def validate(q_raw: Sequence[Sequence[float]] | NDArray, repair: bool = False) -
 
     Raises
     ------
+    ErgorateError
+        Some entry is not a number.
     NegativeRate
         Some off-diagonal entry is negative.
     NonConservative
-        A row sum exceeds ROW_TOL * max|q_ij| in strict mode.
+        A row sum exceeds tol.row_tol * max|q_ij| in strict mode.
     Reducible
         The positive-rate digraph is not strongly connected: some state
         cannot be reached from state 0 along positive rates, or cannot
         reach it.  Both are found by expanding a breadth-first frontier
         from state 0 in the digraph and in its transpose.
     """
-    q = np.array(q_raw, dtype=float)
+    q = _floats(q_raw, "rate matrix Q")
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise NonConservative(f"rate matrix must be square, got shape {q.shape}")
     n = q.shape[0]
@@ -185,7 +214,7 @@ def validate(q_raw: Sequence[Sequence[float]] | NDArray, repair: bool = False) -
         if scale == 0.0:
             raise Reducible("zero matrix cannot be irreducible")
         rowsum = q.sum(axis=1)
-        bad = np.abs(rowsum) > ROW_TOL * scale
+        bad = np.abs(rowsum) > tol.row_tol * scale
         if np.any(bad):
             i = int(np.argmax(np.abs(rowsum)))
             raise NonConservative(f"row {i} sums to {rowsum[i]:.3e}, exceeds tolerance")
@@ -206,7 +235,7 @@ def validate(q_raw: Sequence[Sequence[float]] | NDArray, repair: bool = False) -
 
 def distribution(p_raw: Sequence[float] | NDArray) -> Distribution:
     """Validate a strictly positive probability vector."""
-    p = np.array(p_raw, dtype=float)
+    p = _floats(p_raw, "distribution pi")
     if p.ndim != 1:
         raise ErgorateError(f"distribution must be a vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
@@ -214,14 +243,15 @@ def distribution(p_raw: Sequence[float] | NDArray) -> Distribution:
     if np.any(p <= 0.0):
         i = int(np.argmin(p))
         raise ErgorateError(f"distribution must be strictly positive, p[{i}] = {p[i]}")
-    if abs(p.sum() - 1.0) > SUM_TOL:
-        raise ErgorateError(f"distribution mass {p.sum()!r} deviates from 1 beyond tolerance")
+    mass = float(p.sum())
+    if abs(mass - 1.0) > SUM_TOL:
+        raise ErgorateError(f"distribution mass {mass!r} deviates from 1 beyond tolerance")
     return Distribution(p=_frozen(p))
 
 
 def weight_function(f_raw: Sequence[float] | NDArray) -> WeightFunction:
     """Validate a weight vector with every entry >= 1."""
-    f = np.array(f_raw, dtype=float)
+    f = _floats(f_raw, "weight f")
     if f.ndim != 1:
         raise ErgorateError(f"weight must be a vector, got shape {f.shape}")
     if not np.all(np.isfinite(f)):
@@ -232,7 +262,7 @@ def weight_function(f_raw: Sequence[float] | NDArray) -> WeightFunction:
     return WeightFunction(f=_frozen(f))
 
 
-def stationary(Q: RateMatrix) -> Distribution:
+def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
     """Solve pi Q = 0 with the mass-one normalization.
 
     The transposed balance system has a one-dimensional null space for an
@@ -243,8 +273,8 @@ def stationary(Q: RateMatrix) -> Distribution:
     Raises
     ------
     SingularSystem
-        The replaced system is singular or the residual check fails,
-        which signals a numerically near-reducible chain.
+        The replaced system is singular or the residual exceeds tol.stat_tol
+        * max|q_ij|, which signals a numerically near-reducible chain.
     """
     n = Q.n
     A = Q.q.T.copy()
@@ -256,7 +286,7 @@ def stationary(Q: RateMatrix) -> Distribution:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"stationary solve failed: {exc}") from exc
     residual = float(np.max(np.abs(p @ Q.q)))
-    if residual > STAT_TOL * Q.max_rate:
+    if residual > tol.stat_tol * Q.max_rate:
         raise SingularSystem(f"stationary residual {residual:.3e} exceeds tolerance")
     if np.any(p <= 0.0):
         raise SingularSystem("stationary solve produced non-positive entries")
@@ -264,14 +294,14 @@ def stationary(Q: RateMatrix) -> Distribution:
     return Distribution(p=_frozen(p))
 
 
-def is_reversible(Q: RateMatrix, pi: Distribution) -> tuple[bool, float]:
+def is_reversible(Q: RateMatrix, pi: Distribution, tol: Tolerances = Tolerances()) -> tuple[bool, float]:
     """Detailed-balance test pi_i q_ij = pi_j q_ji.
 
     Returns
     -------
     (verdict, max_violation)
         verdict is True iff the largest violation max_{i != j}
-        |pi_i q_ij - pi_j q_ji| is at most REV_TOL times the largest
+        |pi_i q_ij - pi_j q_ji| is at most tol.rev_tol times the largest
         off-diagonal flux pi_i q_ij; the raw violation is returned for
         reporting either way.
     """
@@ -279,7 +309,7 @@ def is_reversible(Q: RateMatrix, pi: Distribution) -> tuple[bool, float]:
     np.fill_diagonal(flux, 0.0)
     violation = float(np.max(np.abs(flux - flux.T)))
     scale = float(np.max(flux))
-    return violation <= REV_TOL * scale, violation
+    return violation <= tol.rev_tol * scale, violation
 
 
 def _reversed_rates(Q: RateMatrix, pi: Distribution) -> NDArray[np.float64]:
@@ -312,28 +342,31 @@ def chain_spec(
     weight: WeightFunction,
     pi: Distribution | None = None,
     label: str = "",
+    tol: Tolerances = Tolerances(),
 ) -> ChainSpec:
-    """Assemble a ChainSpec, solving for the stationary law if absent.
+    """Assemble a ChainSpec carrying ``tol``, solving for pi if absent.
 
-    A caller-supplied pi is checked against the generator at STAT_TOL
+    A caller-supplied pi is checked against the generator at tol.stat_tol
     rather than trusted.
     """
     if weight.n != Q.n:
         raise ErgorateError(f"weight length {weight.n} does not match state count {Q.n}")
     if pi is None:
-        pi = stationary(Q)
+        pi = stationary(Q, tol)
     else:
         if pi.n != Q.n:
             raise ErgorateError(f"stationary length {pi.n} does not match state count {Q.n}")
         residual = float(np.max(np.abs(pi.p @ Q.q)))
-        if residual > STAT_TOL * Q.max_rate:
+        if residual > tol.stat_tol * Q.max_rate:
             raise ErgorateError(
                 f"supplied stationary law has residual {residual:.3e}, exceeds tolerance"
             )
-    return ChainSpec(rate_matrix=Q, weight=weight, stationary=pi, label=label)
+    return ChainSpec(rate_matrix=Q, weight=weight, stationary=pi, label=label, tol=tol)
 
 
-def build_example21(pi_raw: Sequence[float] | NDArray, beta: float) -> ChainSpec:
+def build_example21(
+    pi_raw: Sequence[float] | NDArray, beta: float, tol: Tolerances = Tolerances()
+) -> ChainSpec:
     """Complete-graph chain whose every jump resamples from pi.
 
     Rates are q_ij = pi_j for j != i, so each row of Q is pi minus the
@@ -341,16 +374,20 @@ def build_example21(pi_raw: Sequence[float] | NDArray, beta: float) -> ChainSpec
     weight is f_0 = 1 and f_i = beta for i >= 1.  The quadratic form of
     this generator equals the pi-variance, which pins its gap at exactly 1.
     """
+    try:
+        beta = float(beta)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ErgorateError(f"beta must be a number, got {beta!r}") from exc
     if not beta > 1.0:
         raise InvalidBeta(f"beta must exceed 1, got {beta}")
     pi = distribution(pi_raw)
     n = pi.n
     q = np.tile(pi.p, (n, 1))
     np.fill_diagonal(q, pi.p - 1.0)
-    f = np.full(n, float(beta))
+    f = np.full(n, beta)
     f[0] = 1.0
-    Q = validate(q)
-    return chain_spec(Q, weight_function(f), pi=pi, label="example21")
+    Q = validate(q, tol=tol)
+    return chain_spec(Q, weight_function(f), pi=pi, label="example21", tol=tol)
 
 
 # The fixed 3-state irreversible chain: a directed cycle with one slow edge.
@@ -364,24 +401,25 @@ _EXAMPLE22_Q = np.array(
 _EXAMPLE22_PI = np.array([0.5, 0.25, 0.25])
 
 
-def build_example22(f_raw: Sequence[float] | NDArray | None = None) -> ChainSpec:
+def build_example22(
+    f_raw: Sequence[float] | NDArray | None = None, tol: Tolerances = Tolerances()
+) -> ChainSpec:
     """The fixed 3-state irreversible cycle chain.
 
     Stationary law (1/2, 1/4, 1/4); complex spectrum, so its weighted-norm
     decay oscillates and the true decay rate 5/4 strictly exceeds the
     variational gap 1.  The weight defaults to all ones.
     """
-    f = np.ones(3) if f_raw is None else np.asarray(f_raw, dtype=float)
-    Q = validate(_EXAMPLE22_Q)
-    return chain_spec(
-        Q, weight_function(f), pi=distribution(_EXAMPLE22_PI), label="example22"
-    )
+    f = weight_function(np.ones(3) if f_raw is None else f_raw)
+    Q = validate(_EXAMPLE22_Q, tol=tol)
+    return chain_spec(Q, f, pi=distribution(_EXAMPLE22_PI), label="example22", tol=tol)
 
 
 def build_birth_death(
     birth: Sequence[float] | NDArray,
     death: Sequence[float] | NDArray,
     f_raw: Sequence[float] | NDArray | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> ChainSpec:
     """Tridiagonal chain on {0, ..., n-1}; reversible by construction.
 
@@ -398,8 +436,8 @@ def build_birth_death(
     pi_{i+1} = pi_i * birth[i] / death[i], computed here independently of
     the generic linear solve so the two paths cross-check each other.
     """
-    b = np.asarray(birth, dtype=float)
-    d = np.asarray(death, dtype=float)
+    b = _floats(birth, "birth")
+    d = _floats(death, "death")
     if b.ndim != 1 or d.shape != b.shape:
         raise ErgorateError("birth and death must be equal-length vectors")
     n = b.shape[0] + 1
@@ -420,9 +458,26 @@ def build_birth_death(
         p[i + 1] = p[i] * b[i] / d[i]
     p /= p.sum()
 
-    f = np.ones(n) if f_raw is None else np.asarray(f_raw, dtype=float)
-    Q = validate(q)
-    return chain_spec(Q, weight_function(f), pi=distribution(p), label="birth_death")
+    f = weight_function(np.ones(n) if f_raw is None else f_raw)
+    Q = validate(q, tol=tol)
+    return chain_spec(Q, f, pi=distribution(p), label="birth_death", tol=tol)
+
+
+class Family(NamedTuple):
+    """A builtin family: builder, chain-file keys it takes, reversible by construction."""
+
+    build: Callable[..., ChainSpec]
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    reversible: bool
+
+
+# The one family registry: chain files, the CLI and the verify battery read it.
+FAMILIES = {
+    "example21": Family(build_example21, ("pi", "beta"), (), True),
+    "example22": Family(build_example22, (), ("f",), False),
+    "birth_death": Family(build_birth_death, ("birth", "death"), ("f",), True),
+}
 
 
 def truncate(
@@ -473,49 +528,37 @@ def _reject_constant(token: str) -> None:
     raise ErgorateError(f"non-finite JSON number {token!r} not accepted")
 
 
-def parse_chain_dict(obj: dict) -> ChainSpec:
-    """Build a ChainSpec from a parsed chain-spec JSON object.
+def parse_chain_dict(obj: dict, tol: Tolerances = Tolerances()) -> ChainSpec:
+    """Build a ChainSpec carrying ``tol`` from a parsed chain-spec JSON object.
 
     Two shapes are accepted: an explicit matrix
     ``{"label", "Q", "f", "pi"?}`` or a builtin family
-    ``{"family": "example21" | "example22" | "birth_death", ...params}``.
+    ``{"family": <a FAMILIES key>, ...params}``.  A value that is not
+    numeric raises ErgorateError naming its field.
     """
     if not isinstance(obj, dict):
         raise ErgorateError("chain spec must be a JSON object")
     if "family" in obj:
-        family = obj["family"]
-        label = obj.get("label")
-        if family == "example21":
-            if "pi" not in obj or "beta" not in obj:
-                raise ErgorateError("family example21 requires 'pi' and 'beta'")
-            spec = build_example21(obj["pi"], float(obj["beta"]))
-        elif family == "example22":
-            spec = build_example22(obj.get("f"))
-        elif family == "birth_death":
-            if "birth" not in obj or "death" not in obj:
-                raise ErgorateError("family birth_death requires 'birth' and 'death'")
-            spec = build_birth_death(obj["birth"], obj["death"], obj.get("f"))
-        else:
-            raise ErgorateError(f"unknown family {family!r}")
-        if label is not None:
-            spec = ChainSpec(
-                rate_matrix=spec.rate_matrix,
-                weight=spec.weight,
-                stationary=spec.stationary,
-                label=str(label),
-            )
-        return spec
+        name = obj["family"]
+        family = FAMILIES.get(name) if isinstance(name, str) else None
+        if family is None:
+            raise ErgorateError(f"unknown family {name!r}")
+        if any(key not in obj for key in family.required):
+            raise ErgorateError(f"family {name} requires {' and '.join(map(repr, family.required))}")
+        params = [obj[key] for key in family.required] + [obj.get(key) for key in family.optional]
+        spec = family.build(*params, tol=tol)
+        return spec if obj.get("label") is None else replace(spec, label=str(obj["label"]))
 
     if "Q" not in obj or "f" not in obj:
         raise ErgorateError("chain spec requires 'Q' and 'f' (or a 'family')")
-    Q = validate(obj["Q"])
+    Q = validate(obj["Q"], tol=tol)
     pi = distribution(obj["pi"]) if "pi" in obj else None
     return chain_spec(
-        Q, weight_function(obj["f"]), pi=pi, label=str(obj.get("label", ""))
+        Q, weight_function(obj["f"]), pi=pi, label=str(obj.get("label", "")), tol=tol
     )
 
 
-def load_chain_file(path: str) -> ChainSpec:
+def load_chain_file(path: str, tol: Tolerances = Tolerances()) -> ChainSpec:
     """Read a UTF-8 chain-spec JSON file; NaN/Infinity are rejected.
 
     A file that cannot be opened or is not UTF-8 raises ErgorateError.
@@ -531,4 +574,4 @@ def load_chain_file(path: str) -> ChainSpec:
         obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ErgorateError(f"malformed JSON in {path}: {exc}") from exc
-    return parse_chain_dict(obj)
+    return parse_chain_dict(obj, tol)

@@ -7,8 +7,8 @@ simulate (Monte-Carlo decay estimates as CSV).
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  Errors
 are emitted to stderr as one-line JSON objects {"error", "message"}.
-Tolerance overrides are accepted via flags and echoed in JSON outputs;
-the defaults are the module constants.
+Each call builds every chain with one Tolerances from the tolerance flags
+and echoes it; ``--family`` flags become the dict a chain file holds.
 
 The argument parser is built once per process, on the first ``main()``
 call, and each call looks its handler ``cmd_<command>`` up by name.
@@ -24,18 +24,21 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
-from . import chain_core
 from .chain_core import (
+    FAMILIES,
     ChainSpec,
+    Tolerances,
     build_birth_death,
     build_example21,
     build_example22,
     dual,
     is_reversible,
     load_chain_file,
+    parse_chain_dict,
     reversibilize,
 )
 from .errors import ErgorateError
@@ -59,37 +62,20 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise ErgorateError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
 
 
-_TOLERANCE_FLAGS = (("row_tol", "ROW_TOL"), ("stat_tol", "STAT_TOL"), ("rev_tol", "REV_TOL"))
-
-
-def _tolerances() -> dict:
-    return {flag: getattr(chain_core, name) for flag, name in _TOLERANCE_FLAGS}
-
-
-def _apply_overrides(args: argparse.Namespace) -> None:
-    for flag, name in _TOLERANCE_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            if value <= 0:
-                raise ErgorateError(f"--{flag.replace('_', '-')} must be positive")
-            setattr(chain_core, name, value)
-
-
 def _resolve_chain(args: argparse.Namespace) -> ChainSpec:
-    if getattr(args, "input", None):
-        return load_chain_file(args.input)
-    family = getattr(args, "family", None)
-    if family is None:
+    if args.input:
+        return load_chain_file(args.input, args.tol)
+    if args.family is None:
         raise ErgorateError("provide --input FILE or --family NAME")
-    if family == "example22":
-        return build_example22()
-    if family == "example21":
-        if not args.pi or args.beta is None:
-            raise ErgorateError("family example21 needs --pi and --beta")
-        return build_example21(_parse_floats(args.pi, "--pi"), args.beta)
-    if family == "birth_death":
-        raise ErgorateError("family birth_death needs rate vectors; supply an --input JSON file")
-    raise ErgorateError(f"unknown family {family!r}")
+    # the family parameters that have flags; the rest need an --input file
+    flags = {"pi": args.pi or None, "beta": args.beta}
+    obj = {"family": args.family, **{key: v for key, v in flags.items() if v is not None}}
+    required = FAMILIES[args.family].required if args.family in FAMILIES else ()
+    if set(required) <= flags.keys() and not set(required) <= obj.keys():
+        raise ErgorateError(f"family {args.family} needs {' and '.join('--' + k for k in required)}")
+    if "pi" in obj:
+        obj["pi"] = _parse_floats(obj["pi"], "--pi")
+    return parse_chain_dict(obj, args.tol)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -130,7 +116,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "stationary": list(map(float, spec.pi)),
             "weight": list(map(float, spec.f)),
             "rate_exceeds_gap": report.true_decay_rate > report.gap + 1e-9,
-            "tolerances": _tolerances(),
+            "tolerances": asdict(args.tol),
         }
     )
     _emit(json.dumps(bundle, indent=2), args.output)
@@ -148,7 +134,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
                 "rate_epsilon_max": report.rate_epsilon_max,
                 "true_decay_rate": report.true_decay_rate,
                 "reversible": report.reversible,
-                "tolerances": _tolerances(),
+                "tolerances": asdict(args.tol),
             },
             indent=2,
         ),
@@ -175,7 +161,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         window = (vals[0], vals[1])
     fit = fit_rate(curve, window=window)
     payload = fit.to_dict()
-    payload.update({"label": spec.label, "state": args.state, "tolerances": _tolerances()})
+    payload.update({"label": spec.label, "state": args.state, "tolerances": asdict(args.tol)})
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
@@ -193,7 +179,7 @@ def cmd_drift(args: argparse.Namespace) -> int:
                 "small_set": list(report.small_set),
                 "gap_rate": g,
                 "drift_rate_below_gap": report.c_max < g,
-                "tolerances": _tolerances(),
+                "tolerances": asdict(args.tol),
             },
             indent=2,
         ),
@@ -215,22 +201,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # verification battery
 
-_FAMILY_REVERSIBLE = {"example21": True, "birth_death": True, "example22": False}
-
-
-def _battery_chains() -> list[ChainSpec]:
+def _battery_chains(tol: Tolerances) -> list[ChainSpec]:
     rng = np.random.default_rng(90210)
     p = rng.uniform(0.5, 1.5, 7)
     return [
-        build_example21([0.5, 0.25, 0.25], 2.0),
-        build_example21(p / p.sum(), 3.0),
-        build_example22(),
-        build_birth_death([1.0, 2.0, 0.5, 1.5, 1.0], [1.0, 1.0, 2.0, 0.5, 1.0], [1, 2, 1, 3, 1, 2]),
+        build_example21([0.5, 0.25, 0.25], 2.0, tol),
+        build_example21(p / p.sum(), 3.0, tol),
+        build_example22(tol=tol),
+        build_birth_death([1.0, 2.0, 0.5, 1.5, 1.0], [1.0, 1.0, 2.0, 0.5, 1.0], [1, 2, 1, 3, 1, 2], tol),
     ]
 
 
-def _verify_checks(n_lemma: int, input_spec: ChainSpec | None):
-    chains = _battery_chains()
+def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
+    chains = _battery_chains(tol)
     checks: list[tuple[str, object]] = []
 
     def residual_check(name, value, tol):
@@ -238,11 +221,11 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None):
 
     for spec in chains:
         r = float(np.max(np.abs(spec.pi @ spec.q)))
-        residual_check(f"stationary.{spec.label}.n{spec.n}", r, chain_core.STAT_TOL * spec.rate_matrix.max_rate)
+        residual_check(f"stationary.{spec.label}.n{spec.n}", r, tol.stat_tol * spec.rate_matrix.max_rate)
 
     for spec in chains:
-        rev, viol = is_reversible(spec.rate_matrix, spec.stationary)
-        expected = _FAMILY_REVERSIBLE[spec.label]
+        rev, viol = is_reversible(spec.rate_matrix, spec.stationary, tol)
+        expected = FAMILIES[spec.label].reversible
         checks.append(
             (
                 f"reversibility.{spec.label}.n{spec.n}",
@@ -258,7 +241,7 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None):
 
     for spec in chains:
         Qbar = reversibilize(spec.rate_matrix, spec.stationary)
-        ok, viol = is_reversible(Qbar, spec.stationary)
+        ok, viol = is_reversible(Qbar, spec.stationary, tol)
         checks.append(
             (
                 f"reversibilize.{spec.label}.n{spec.n}",
@@ -267,9 +250,9 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None):
         )
 
     for spec in (chains[0], chains[1]):
-        residual_check(f"gap.example21.n{spec.n}", abs(gap(spec.rate_matrix, spec.stationary) - 1.0), 1e-9)
+        residual_check(f"gap.example21.n{spec.n}", abs(gap(spec.rate_matrix, spec.stationary, tol) - 1.0), 1e-9)
     ex22 = chains[2]
-    residual_check("gap.example22", abs(gap(ex22.rate_matrix, ex22.stationary) - 1.0), 1e-9)
+    residual_check("gap.example22", abs(gap(ex22.rate_matrix, ex22.stationary, tol) - 1.0), 1e-9)
     residual_check(
         "truerate.example22",
         abs(spectral_report(ex22).true_decay_rate - 1.25),
@@ -346,7 +329,7 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None):
         b = rng.uniform(0.5, 2.0, n_lemma - 1)
         d = rng.uniform(0.5, 2.0, n_lemma - 1)
         fw = rng.uniform(1.0, 3.0, n_lemma)
-        return build_birth_death(b, d, fw)
+        return build_birth_death(b, d, fw, tol)
 
     def lemma31_check():
         spec = lemma_chain()
@@ -431,10 +414,10 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None):
 
     if input_spec is not None:
         r = float(np.max(np.abs(input_spec.pi @ input_spec.q)))
-        residual_check("input.stationary", r, chain_core.STAT_TOL * input_spec.rate_matrix.max_rate)
-        if input_spec.label in _FAMILY_REVERSIBLE:
-            rev, viol = is_reversible(input_spec.rate_matrix, input_spec.stationary)
-            expected = _FAMILY_REVERSIBLE[input_spec.label]
+        residual_check("input.stationary", r, tol.stat_tol * input_spec.rate_matrix.max_rate)
+        if input_spec.label in FAMILIES:
+            rev, viol = is_reversible(input_spec.rate_matrix, input_spec.stationary, tol)
+            expected = FAMILIES[input_spec.label].reversible
             checks.append(
                 (
                     f"input.family_contract.{input_spec.label}",
@@ -448,8 +431,8 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    input_spec = load_chain_file(args.input) if args.input else None
-    checks = _verify_checks(args.n, input_spec)
+    input_spec = load_chain_file(args.input, args.tol) if args.input else None
+    checks = _verify_checks(args.n, input_spec, args.tol)
     if args.only:
         checks = [(name, fn) for name, fn in checks if args.only in name]
         if not checks:
@@ -469,7 +452,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(f"FIRST FAILURE: {first_failure}")
     text = "\n".join(lines)
     if args.output:
-        _emit(json.dumps({"results": results, "tolerances": _tolerances()}, indent=2), args.output)
+        _emit(json.dumps({"results": results, "tolerances": asdict(args.tol)}, indent=2), args.output)
         print(text)
     else:
         print(text)
@@ -483,17 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral-gap and weighted-norm convergence analyzer for finite CTMCs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = Tolerances()
 
     def add_common(p: argparse.ArgumentParser, chain: bool = True) -> None:
         if chain:
-            p.add_argument("--family", help="builtin family: example21, example22, birth_death")
+            p.add_argument("--family", help=f"builtin family: {', '.join(FAMILIES)}")
             p.add_argument("--input", help="chain-spec JSON file")
             p.add_argument("--pi", help="comma-separated stationary law (example21)")
             p.add_argument("--beta", type=float, help="weight level on states >= 1 (example21)")
         p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--row-tol", type=float, dest="row_tol", help="override row-sum tolerance")
-        p.add_argument("--stat-tol", type=float, dest="stat_tol", help="override stationarity tolerance")
-        p.add_argument("--rev-tol", type=float, dest="rev_tol", help="override detailed-balance tolerance")
+        p.add_argument("--row-tol", type=float, default=tol.row_tol, help="override row-sum tolerance")
+        p.add_argument("--stat-tol", type=float, default=tol.stat_tol, help="override stationarity tolerance")
+        p.add_argument("--rev-tol", type=float, default=tol.rev_tol, help="override detailed-balance tolerance")
 
     p = sub.add_parser("analyze", help="full spectral report as JSON")
     add_common(p)
@@ -530,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="run only checks whose name contains this substring")
     p.add_argument("--n", type=int, default=6, help="state count for the lemma-check chains")
     p.add_argument("--output", help="also write JSON results here")
-    p.add_argument("--row-tol", type=float, dest="row_tol")
-    p.add_argument("--stat-tol", type=float, dest="stat_tol")
-    p.add_argument("--rev-tol", type=float, dest="rev_tol")
+    p.add_argument("--row-tol", type=float, default=tol.row_tol)
+    p.add_argument("--stat-tol", type=float, default=tol.stat_tol)
+    p.add_argument("--rev-tol", type=float, default=tol.rev_tol)
 
     return parser
 
@@ -545,9 +529,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    saved = _tolerances()
     try:
-        _apply_overrides(args)
+        args.tol = Tolerances(args.row_tol, args.stat_tol, args.rev_tol)
         # looked up per call: the cached parser must not pin the handlers
         return globals()[f"cmd_{args.command}"](args)
     except ErgorateError as exc:
@@ -555,10 +538,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 2
-    finally:
-        # overrides hold for this call only
-        for flag, name in _TOLERANCE_FLAGS:
-            setattr(chain_core, name, saved[flag])
 
 
 if __name__ == "__main__":

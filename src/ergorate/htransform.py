@@ -21,9 +21,10 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain_core import ChainSpec, is_reversible
+from .chain_core import ChainSpec
 from .errors import ErgorateError
 from .semigroup import Propagator, f_norm, opnorm_inf_to_1, opnorm_inf_to_2
+from .spectral import chain_analysis
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,7 @@ def check_lemma32(T: TransformedSemigroup, t: float, tol: float = 1e-9) -> Lemma
     Both sides are brute-forced over sign vertices (exact for these
     convex objectives); requires a reversible base chain and n <= 20.
     """
-    rev, _ = is_reversible(T.base.rate_matrix, T.base.stationary)
-    if not rev:
+    if not chain_analysis(T.base).reversible:
         raise ErgorateError("norm identity requires a reversible base chain")
     lhs = opnorm_inf_to_2(T.pf_deviation(t), T.nu) ** 2
     rhs = opnorm_inf_to_1(T.pf_deviation(2.0 * t), T.nu)
@@ -205,9 +205,8 @@ def h_function(
     values = P_s[i, :] / (spec.f * spec.pi) - 1.0 / spec.f
     nu = spec.f**2 * spec.pi
     norm_sq = float(np.dot(nu, values**2))
-    rev, _ = is_reversible(spec.rate_matrix, spec.stationary)
     closed = None
-    if rev:
+    if chain_analysis(spec).reversible:
         closed = float(prop.matrix(2.0 * s)[i, i] / spec.pi[i] - 1.0)
     return HFunction(s=float(s), i=int(i), values=values), norm_sq, closed
 

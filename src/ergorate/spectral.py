@@ -18,8 +18,8 @@ recompute on every call.  Per chain, the reversibility verdict, the
 symmetrized eigensystem and the complex spectrum are computed at most
 once by ChainAnalysis, memoized on the ChainSpec; spectral_report, the
 propagator, decay curves and the CLI all read from it.  On a chain
-judged reversible (within REV_TOL) the memoized spectrum is that of the
-symmetrized generator, read from the eigensystem: real, as accurate as a
+judged reversible (at the spec's rev_tol) the memoized spectrum is the
+symmetrized generator's, read from the eigensystem: real, as accurate as a
 symmetric eigensolver makes it, and its slowest mode is the gap exactly.
 Only irreversible chains pay for a general eigvals.
 """
@@ -37,6 +37,7 @@ from .chain_core import (
     ChainSpec,
     Distribution,
     RateMatrix,
+    Tolerances,
     WeightFunction,
     is_reversible,
     reversibilize,
@@ -119,14 +120,14 @@ def symmetric_eigendecomposition(
     return lam, V, d
 
 
-def gap(Q: RateMatrix, pi: Distribution) -> float:
+def gap(Q: RateMatrix, pi: Distribution, tol: Tolerances = Tolerances()) -> float:
     """Variational spectral gap of the generator.
 
-    Reversible: second-smallest eigenvalue of the symmetrized operator.
-    Irreversible: the quadratic form coincides with that of the additive
-    symmetrization, so the gap is computed there.
+    Reversible (at tol.rev_tol): second-smallest eigenvalue of the
+    symmetrized operator.  Irreversible: the quadratic form coincides with
+    that of the additive symmetrization, so the gap is computed there.
     """
-    rev, _ = is_reversible(Q, pi)
+    rev, _ = is_reversible(Q, pi, tol)
     if not rev:
         Q = reversibilize(Q, pi)
     lam, _, _ = symmetric_eigendecomposition(Q, pi)
@@ -168,8 +169,8 @@ class ChainAnalysis:
     """The expensive spectral quantities of one chain, each computed at
     most once and only when first read.
 
-    - ``reversible``/``violation``: the detailed-balance test, at the
-      REV_TOL in force when first read.
+    - ``reversible``/``violation``: the detailed-balance test at
+      ``tol.rev_tol``, the spec's own.
     - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition,
       applied to Q when reversible and to its reversibilization
       otherwise, so ``gap`` = lam[1] on both branches.
@@ -184,13 +185,14 @@ class ChainAnalysis:
     the memo forms no reference cycle and is freed with the spec.
     """
 
-    def __init__(self, rate_matrix: RateMatrix, stationary: Distribution):
+    def __init__(self, rate_matrix: RateMatrix, stationary: Distribution, tol: Tolerances):
         self.rate_matrix = rate_matrix
         self.stationary = stationary
+        self.tol = tol
 
     @cached_property
     def _verdict(self) -> tuple[bool, float]:
-        return is_reversible(self.rate_matrix, self.stationary)
+        return is_reversible(self.rate_matrix, self.stationary, self.tol)
 
     @property
     def reversible(self) -> bool:
@@ -227,7 +229,7 @@ class ChainAnalysis:
 def chain_analysis(spec: ChainSpec) -> ChainAnalysis:
     """The analysis of ``spec``, built on first use and kept on the spec."""
     if spec._analysis is None:
-        object.__setattr__(spec, "_analysis", ChainAnalysis(spec.rate_matrix, spec.stationary))
+        object.__setattr__(spec, "_analysis", ChainAnalysis(spec.rate_matrix, spec.stationary, spec.tol))
     return spec._analysis
 
 
@@ -245,7 +247,7 @@ def spectral_report(spec: ChainSpec) -> SpectralReport:
     chains and is a lower bound for irreversible ones; the slowest true
     decay mode is always reported alongside.  Reads the chain's memoized
     ChainAnalysis: one eigh per spec, plus one eigvals when the chain is
-    irreversible.  On a chain judged reversible within REV_TOL the
+    irreversible.  On a chain judged reversible at the spec's rev_tol the
     reported eigenvalues are those of the symmetrized generator.
     """
     a = chain_analysis(spec)

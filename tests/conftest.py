@@ -1,5 +1,4 @@
-"""Shared fixtures: canonical chains, tolerance restoration and
-decomposition counters."""
+"""Shared fixtures: canonical chains and decomposition counters."""
 
 from __future__ import annotations
 
@@ -7,16 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ergorate import chain_core
 from ergorate.chain_core import build_birth_death, build_example21, build_example22
-
-
-@pytest.fixture(autouse=True)
-def _restore_tolerances():
-    """CLI tolerance overrides mutate module globals; undo after each test."""
-    saved = (chain_core.ROW_TOL, chain_core.STAT_TOL, chain_core.REV_TOL)
-    yield
-    chain_core.ROW_TOL, chain_core.STAT_TOL, chain_core.REV_TOL = saved
 
 
 @pytest.fixture

@@ -454,6 +454,11 @@ def test_parse_chain_dict_supplied_pi_checked():
         parse_chain_dict(
             {"label": "x", "Q": [[-1.0, 1.0], [2.0, -2.0]], "f": [1, 1], "pi": [0.5, 0.5]}
         )
+    # a pi off mass one names its mass as a plain float
+    with pytest.raises(ErgorateError, match=r"^distribution mass 0\.5 deviates from 1 beyond tolerance$"):
+        parse_chain_dict(
+            {"label": "x", "Q": [[-1.0, 1.0], [2.0, -2.0]], "f": [1, 1], "pi": [0.25, 0.25]}
+        )
 
 
 def test_parse_chain_dict_families():

@@ -315,6 +315,26 @@ def test_nan_input_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"family": "example21", "pi": [0.5, 0.5], "beta": "abc"}, "beta"),
+        ({"family": "example21", "pi": [0.5, 0.5], "beta": None}, "beta"),
+        ({"Q": [["a", "b"], ["c", "d"]], "f": [1, 1]}, "rate matrix Q"),
+        ({"Q": [[-1, 1], [1, -1]], "f": "ab"}, "weight f"),
+        ({"Q": [[-1, 1], [1, -1]], "f": [1, 1], "pi": {"a": 1}}, "distribution pi"),
+        ({"family": "birth_death", "birth": "ab", "death": "cd"}, "birth"),
+    ],
+)
+def test_non_numeric_chain_file_is_an_input_error(capsys, tmp_path, obj, field):
+    code, out, err = run(capsys, "gap", "--input", write_chain(tmp_path, "c.json", obj))
+    assert code == 2
+    assert out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "ErgorateError"
+    assert field in blob["message"]
+
+
 @pytest.mark.parametrize("command", ["gap", "verify"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_input_is_an_input_error(capsys, tmp_path, command, kind):
@@ -349,7 +369,8 @@ def test_default_tolerances_restored(capsys):
 
 
 def test_overrides_do_not_outlive_the_call(capsys, monkeypatch):
-    # all calls in one test: the autouse fixture only restores between tests
+    # all calls in one test: each call builds its own Tolerances and
+    # writes no module state, so nothing needs restoring between calls
     defaults = (chain_core.ROW_TOL, chain_core.STAT_TOL, chain_core.REV_TOL)
     code, out, _ = run(capsys, "gap", "--family", "example22", "--rev-tol", "10")
     assert code == 0
@@ -369,10 +390,15 @@ def test_overrides_do_not_outlive_the_call(capsys, monkeypatch):
     assert (chain_core.ROW_TOL, chain_core.STAT_TOL, chain_core.REV_TOL) == defaults
 
 
-def test_negative_tolerance_rejected(capsys):
-    code, _, err = run(capsys, "gap", "--family", "example22", "--row-tol", "-1")
+@pytest.mark.parametrize("flag", ["--row-tol", "--stat-tol", "--rev-tol"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_negative_tolerance_rejected(capsys, flag, value):
+    code, out, err = run(capsys, "gap", "--family", "example22", flag, value)
     assert code == 2
-    assert "positive" in json.loads(err)["message"]
+    assert out == ""
+    message = json.loads(err)["message"]
+    assert "positive" in message
+    assert flag[2:].replace("-", "_") in message
 
 
 # ----------------------------------------------------------- cached parser

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import weakref
 
@@ -15,6 +16,7 @@ from conftest import random_detailed_balance, random_irreversible
 
 from ergorate.chain_core import (
     RateMatrix,
+    Tolerances,
     build_example21,
     build_example22,
     chain_spec,
@@ -26,6 +28,7 @@ from ergorate.chain_core import (
     weight_function,
 )
 from ergorate.errors import EigenFailure, ErgorateError, NoDrift
+from ergorate.semigroup import Propagator
 from ergorate.spectral import (
     DriftReport,
     chain_analysis,
@@ -278,6 +281,25 @@ def test_chain_analysis_is_freed_with_its_spec():
         assert ref() is None
     finally:
         gc.enable()
+
+
+VERDICT_READERS = {
+    "report": lambda spec: spectral_report(spec).reversible,
+    "propagator": lambda spec: Propagator(spec).method == "spectral",
+    "is_reversible": lambda spec: is_reversible(spec.rate_matrix, spec.stationary, spec.tol)[0],
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(VERDICT_READERS)))
+def test_reversibility_verdict_follows_the_spec_tolerance(order):
+    # one process, two example22 specs: each memo judges at its own rev_tol,
+    # whichever reader fills it first
+    strict = build_example22()
+    loose = build_example22(tol=Tolerances(rev_tol=2.0))  # violation 0.25 now inside
+    assert loose.tol.rev_tol == 2.0 and strict.tol == Tolerances()
+    for name in order:
+        assert VERDICT_READERS[name](strict) is False
+        assert VERDICT_READERS[name](loose) is True
 
 
 @settings(max_examples=30, deadline=None)
