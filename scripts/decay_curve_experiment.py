@@ -3,8 +3,10 @@
 
 For each family this computes the weighted-norm decay curve from every
 state, compares it against the theoretical exponential envelope, and
-fits the asymptotic rate.  With --csv-dir the per-state curves are also
-written as CSV files for external plotting.
+fits the asymptotic rate.  A curve with too few usable points for a
+fit (a coarse --points) is listed with mode "insufficient" and no fit
+rate.  With --csv-dir the per-state curves are also written as CSV files
+for external plotting.
 
 Usage:
     python3 scripts/decay_curve_experiment.py [--points 80] [--csv-dir out/]
@@ -18,6 +20,7 @@ import os
 import numpy as np
 
 from ergorate.chain_core import build_birth_death, build_example21, build_example22
+from ergorate.errors import InsufficientData
 from ergorate.semigroup import (
     Propagator,
     decay_curve,
@@ -59,10 +62,14 @@ def main() -> int:
         prop = Propagator(spec)
         for i in range(spec.n):
             curve = decay_curve(spec, i, grid, propagator=prop)
-            fit = fit_rate(curve)
+            try:
+                fit = fit_rate(curve)
+                rate, mode = f"{fit.rate:.6f}", fit.mode
+            except InsufficientData:
+                rate, mode = "-", "insufficient"
             excess = float(np.max(curve.fnorms - curve.envelope))
             print(f"{name:<16s} {i:>5d} {report.gap:>9.5f} {report.true_decay_rate:>10.5f} "
-                  f"{fit.rate:>10.6f} {fit.mode:>9s} {excess:>11.2e}")
+                  f"{rate:>10s} {mode:>9s} {excess:>11.2e}")
             if args.csv_dir:
                 path = os.path.join(args.csv_dir, f"{name}_state{i}.csv")
                 with open(path, "w", encoding="utf-8") as fh:

@@ -534,10 +534,12 @@ def parse_chain_dict(obj: dict, tol: Tolerances = Tolerances()) -> ChainSpec:
     Two shapes are accepted: an explicit matrix
     ``{"label", "Q", "f", "pi"?}`` or a builtin family
     ``{"family": <a FAMILIES key>, ...params}``.  A value that is not
-    numeric raises ErgorateError naming its field.
+    numeric raises ErgorateError naming its field.  A ``"label": null``
+    counts as no label: "" for a matrix, the builder's for a family.
     """
     if not isinstance(obj, dict):
         raise ErgorateError("chain spec must be a JSON object")
+    label = obj.get("label")
     if "family" in obj:
         name = obj["family"]
         family = FAMILIES.get(name) if isinstance(name, str) else None
@@ -547,14 +549,14 @@ def parse_chain_dict(obj: dict, tol: Tolerances = Tolerances()) -> ChainSpec:
             raise ErgorateError(f"family {name} requires {' and '.join(map(repr, family.required))}")
         params = [obj[key] for key in family.required] + [obj.get(key) for key in family.optional]
         spec = family.build(*params, tol=tol)
-        return spec if obj.get("label") is None else replace(spec, label=str(obj["label"]))
+        return spec if label is None else replace(spec, label=str(label))
 
     if "Q" not in obj or "f" not in obj:
         raise ErgorateError("chain spec requires 'Q' and 'f' (or a 'family')")
     Q = validate(obj["Q"], tol=tol)
     pi = distribution(obj["pi"]) if "pi" in obj else None
     return chain_spec(
-        Q, weight_function(obj["f"]), pi=pi, label=str(obj.get("label", "")), tol=tol
+        Q, weight_function(obj["f"]), pi=pi, label="" if label is None else str(label), tol=tol
     )
 
 

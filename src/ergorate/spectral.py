@@ -14,14 +14,17 @@ symmetrization; the slowest eigenvalue of the original generator can be
 strictly faster, and both numbers are reported.
 
 The per-generator functions (gap, eigenvalues, true_decay_rate)
-recompute on every call.  Per chain, the reversibility verdict, the
-symmetrized eigensystem and the complex spectrum are computed at most
-once by ChainAnalysis, memoized on the ChainSpec; spectral_report, the
-propagator, decay curves and the CLI all read from it.  On a chain
-judged reversible (at the spec's rev_tol) the memoized spectrum is the
-symmetrized generator's, read from the eigensystem: real, as accurate as a
-symmetric eigensolver makes it, and its slowest mode is the gap exactly.
-Only irreversible chains pay for a general eigvals.
+recompute on every call; gap is ChainAnalysis(Q, pi, tol).gap, so there
+is one gap code path.  Per chain, the reversibility verdict, the gap,
+the symmetrized eigensystem and the complex spectrum are computed at
+most once by ChainAnalysis, memoized on the ChainSpec; spectral_report,
+the propagator, decay curves and the CLI all read from it.  Reversible
+(at the spec's rev_tol): one eigh, whose vectors the spectral route
+needs; the memoized spectrum is the symmetrized generator's, read from
+it: real, as accurate as a symmetric eigensolver makes it, and its
+slowest mode is the gap exactly.  Irreversible: one eigvalsh of the
+symmetrized reversibilization for the gap (no eigenvector enters it, and
+the Pade route reads none) and one general eigvals for the spectrum.
 """
 
 from __future__ import annotations
@@ -88,6 +91,27 @@ class DriftReport:
     small_set: tuple[int, ...]
 
 
+def _symmetrized_spectrum(
+    Q: RateMatrix, pi: Distribution, vectors: bool
+) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64]]:
+    """(lam, V, d) of S = diag(d) (-Q) diag(1/d), d = sqrt(pi), symmetrized:
+    one eigh when ``vectors``, else one eigvalsh and V = None.  Both solves
+    pass the same zero-mode check: lam[0] zero and simple."""
+    d = np.sqrt(pi.p)
+    S = (d[:, None] * (-Q.q)) / d[None, :]
+    S = 0.5 * (S + S.T)
+    try:
+        lam, V = np.linalg.eigh(S) if vectors else (np.linalg.eigvalsh(S), None)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
+    tol = EIG_TOL * max(Q.max_rate, 1e-300)
+    if abs(lam[0]) > tol:
+        raise EigenFailure(f"smallest symmetrized eigenvalue {lam[0]:.3e} is not zero")
+    if Q.n > 1 and lam[1] <= tol:
+        raise EigenFailure("zero eigenvalue is not simple; chain is numerically reducible")
+    return lam, V, d
+
+
 def symmetric_eigendecomposition(
     Q: RateMatrix, pi: Distribution
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
@@ -105,33 +129,18 @@ def symmetric_eigendecomposition(
         Solver failure, or the smallest eigenvalue is not the expected
         single zero mode.
     """
-    d = np.sqrt(pi.p)
-    S = (d[:, None] * (-Q.q)) / d[None, :]
-    S = 0.5 * (S + S.T)
-    try:
-        lam, V = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
-    tol = EIG_TOL * max(Q.max_rate, 1e-300)
-    if abs(lam[0]) > tol:
-        raise EigenFailure(f"smallest symmetrized eigenvalue {lam[0]:.3e} is not zero")
-    if Q.n > 1 and lam[1] <= tol:
-        raise EigenFailure("zero eigenvalue is not simple; chain is numerically reducible")
-    return lam, V, d
+    return _symmetrized_spectrum(Q, pi, vectors=True)
 
 
 def gap(Q: RateMatrix, pi: Distribution, tol: Tolerances = Tolerances()) -> float:
-    """Variational spectral gap of the generator.
+    """Variational spectral gap of the generator: ChainAnalysis(Q, pi, tol).gap.
 
     Reversible (at tol.rev_tol): second-smallest eigenvalue of the
-    symmetrized operator.  Irreversible: the quadratic form coincides with
-    that of the additive symmetrization, so the gap is computed there.
+    symmetrized operator, from its eigh.  Irreversible: the quadratic form
+    coincides with that of the additive symmetrization, so the gap is the
+    second-smallest eigenvalue there, from a values-only eigvalsh.
     """
-    rev, _ = is_reversible(Q, pi, tol)
-    if not rev:
-        Q = reversibilize(Q, pi)
-    lam, _, _ = symmetric_eigendecomposition(Q, pi)
-    return float(lam[1])
+    return ChainAnalysis(Q, pi, tol).gap
 
 
 def eigenvalues(Q: RateMatrix) -> tuple[complex, ...]:
@@ -171,9 +180,16 @@ class ChainAnalysis:
 
     - ``reversible``/``violation``: the detailed-balance test at
       ``tol.rev_tol``, the spec's own.
+    - ``gap``: lam[1] of the symmetrized generator, Q's when reversible
+      and its reversibilization's otherwise.  Reversible: read from
+      ``eigensystem``, which the spectral route needs anyway.
+      Irreversible: one values-only eigvalsh, since no eigenvector enters
+      the gap and the Pade route reads none.
     - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition,
       applied to Q when reversible and to its reversibilization
-      otherwise, so ``gap`` = lam[1] on both branches.
+      otherwise.  Built only when read: by ``gap`` and the spectral
+      propagator on a reversible chain, and by a forced spectral
+      propagator on an irreversible one.
     - ``spectrum``: the spectrum of Q in eigenvalues() order, and
       ``true_decay_rate`` read from it.  Reversible: -lam of the
       eigensystem, the spectrum of the symmetrized generator, so
@@ -209,9 +225,12 @@ class ChainAnalysis:
         Q, pi = self.rate_matrix, self.stationary
         return symmetric_eigendecomposition(Q if self.reversible else reversibilize(Q, pi), pi)
 
-    @property
+    @cached_property
     def gap(self) -> float:
-        return float(self.eigensystem[0][1])
+        if self.reversible:
+            return float(self.eigensystem[0][1])
+        Q, pi = self.rate_matrix, self.stationary
+        return float(_symmetrized_spectrum(reversibilize(Q, pi), pi, vectors=False)[0][1])
 
     @cached_property
     def spectrum(self) -> tuple[complex, ...]:
@@ -246,9 +265,9 @@ def spectral_report(spec: ChainSpec) -> SpectralReport:
     The certified rate equals the gap in both directions for reversible
     chains and is a lower bound for irreversible ones; the slowest true
     decay mode is always reported alongside.  Reads the chain's memoized
-    ChainAnalysis: one eigh per spec, plus one eigvals when the chain is
-    irreversible.  On a chain judged reversible at the spec's rev_tol the
-    reported eigenvalues are those of the symmetrized generator.
+    ChainAnalysis.  Reversible: one eigh per spec, and the reported
+    eigenvalues are those of the symmetrized generator (judged at the
+    spec's rev_tol).  Irreversible: one eigvalsh and one eigvals.
     """
     a = chain_analysis(spec)
     return SpectralReport(

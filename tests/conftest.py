@@ -11,10 +11,11 @@ from ergorate.chain_core import build_birth_death, build_example21, build_exampl
 
 @pytest.fixture
 def decomposition_counts(monkeypatch):
-    """Live counts of numpy.linalg.eigh/eigvals and scipy.linalg.expm calls
-    (ergorate looks these up on the modules at call time)."""
-    counts = {"eigh": 0, "eigvals": 0, "expm": 0}
-    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvals"), (scipy.linalg, "expm")):
+    """Live counts of numpy.linalg.eigh/eigvalsh/eigvals and scipy.linalg.expm
+    calls (ergorate looks these up on the modules at call time)."""
+    counts = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "expm": 0}
+    kernels = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "eigvals"), (scipy.linalg, "expm"))
+    for owner, name in kernels:
         def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             return _orig(*args, **kwargs)

@@ -486,6 +486,23 @@ def test_load_chain_file_round_trip(tmp_path):
     assert np.allclose(spec.f, [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "obj, label",
+    [
+        ({"Q": [[-1.0, 1.0], [1.0, -1.0]], "f": [1, 1]}, ""),
+        ({"family": "example22"}, "example22"),
+    ],
+)
+def test_null_label_counts_as_absent(tmp_path, obj, label):
+    # "label": null reads like no label on both file kinds, never as "None"
+    path = tmp_path / "chain.json"
+    for given in ({}, {"label": None}):
+        path.write_text(json.dumps({**obj, **given}))
+        assert parse_chain_dict({**obj, **given}).label == label
+        assert load_chain_file(str(path)).label == label
+    assert parse_chain_dict({**obj, "label": "mine"}).label == "mine"
+
+
 def test_load_chain_file_rejects_nan(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"label": "bad", "Q": [[NaN, 1.0], [1.0, -1.0]], "f": [1, 1]}')

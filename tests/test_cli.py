@@ -36,13 +36,14 @@ def write_chain(tmp_path, name, obj):
     "argv, expected",
     [
         # a reversible chain's spectrum is read from its eigh: no eigvals
-        (["analyze", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
-        (["analyze", "--family", "example22"], {"eigh": 1, "eigvals": 1, "expm": 0}),
-        (["fit", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
-        (["decay", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
+        (["analyze", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
+        # irreversible: the gap from a values-only eigvalsh, no eigh
+        (["analyze", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
+        (["fit", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
+        (["decay", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
         # irreversible: the Pade route uniformizes the row, no dense expm
-        (["decay", "--family", "example22"], {"eigh": 1, "eigvals": 1, "expm": 0}),
-        (["drift", *EX21_ARGS], {"eigh": 1, "eigvals": 0, "expm": 0}),
+        (["decay", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
+        (["drift", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
     ],
 )
 def test_decompositions_per_call(capsys, decomposition_counts, argv, expected):

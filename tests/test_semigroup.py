@@ -423,16 +423,20 @@ def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
     rep = spectral_report(spec)
     grid = default_time_grid(rep.gap if rep.reversible else rep.true_decay_rate)
     fit_rate(decay_curve(spec, 1, grid))
-    # default-grid curves take no dense exponential on either route, and a
-    # reversible chain reads its spectrum from the eigh
-    eigvals = 0 if reversible else 1
-    assert decomposition_counts == {"eigh": 1, "eigvals": eigvals, "expm": 0}
+    # default-grid curves take no dense exponential on either route; a
+    # reversible chain reads its spectrum from the eigh, an irreversible one
+    # takes its gap from a values-only eigvalsh and pays for no eigenvectors
+    counts = {"eigh": 0, "eigvalsh": 1, "eigvals": 1}
+    if reversible:
+        counts = {"eigh": 1, "eigvalsh": 0, "eigvals": 0}
+    assert decomposition_counts == {**counts, "expm": 0}
     # the analysis is memoized on the spec; the per-generator functions are not
     assert chain_analysis(spec) is chain_analysis(spec)
     assert spectral_report(spec).to_dict() == rep.to_dict()
-    assert decomposition_counts["eigh"] == 1 and decomposition_counts["eigvals"] == eigvals
+    assert decomposition_counts == {**counts, "expm": 0}
     gap(spec.rate_matrix, spec.stationary)
-    assert decomposition_counts["eigh"] == 2
+    solver = "eigh" if reversible else "eigvalsh"
+    assert decomposition_counts == {**counts, solver: 2, "expm": 0}
 
 
 @pytest.mark.parametrize("reversible", [True, False])

@@ -23,6 +23,7 @@ from ergorate.chain_core import (
     distribution,
     dual,
     is_reversible,
+    reversibilize,
     stationary,
     validate,
     weight_function,
@@ -325,6 +326,41 @@ def test_report_rate_is_gap_for_random_reversible(seed, n, log_scale):
     ref = np.sort_complex(np.linalg.eigvals(q))[::-1]
     assert np.max(np.abs(z - ref)) <= 1e-12 * spec.rate_matrix.max_rate
     assert rep.true_decay_rate == rep.gap
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=60),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_values_only_gap_matches_the_eigensystem_for_random_irreversible(seed, n, log_scale):
+    rng = np.random.default_rng(seed)
+    q = random_irreversible(rng, n) * 10.0**log_scale
+    spec = chain_spec(validate(q), weight_function(np.ones(n)))
+    # every two-state chain is reversible; larger random ones are not
+    assert chain_analysis(spec).reversible is (n == 2)
+    rep = spectral_report(spec)
+    pi = spec.stationary
+    lam, _, _ = symmetric_eigendecomposition(reversibilize(spec.rate_matrix, pi), pi)
+    assert abs(rep.gap - lam[1]) <= 1e-13 * spec.rate_matrix.max_rate
+    assert rep.gap == gap(spec.rate_matrix, pi) == rep.rate_epsilon_max
+
+
+def test_near_reducible_irreversible_chain_fails_on_the_values_only_path(decomposition_counts):
+    # two irreversible 3-cycles joined by rates of about 1e-14: the
+    # symmetrized zero eigenvalue is not simple at EIG_TOL
+    cycle = np.array([[0.0, 1.0, 0.5], [0.5, 0.0, 1.0], [1.0, 0.5, 0.0]])
+    q = np.zeros((6, 6))
+    q[:3, :3], q[3:, 3:] = cycle, 2.0 * cycle
+    q[2, 3], q[5, 0] = 1e-14, 2e-14
+    np.fill_diagonal(q, -q.sum(axis=1))
+    spec = chain_spec(validate(q), weight_function(np.ones(6)))
+    assert not chain_analysis(spec).reversible
+    with pytest.raises(EigenFailure, match="not simple"):
+        spectral_report(spec)
+    # raised by the gap's eigvalsh, before any eigh or eigvals
+    assert decomposition_counts == {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}
 
 
 # --------------------------------------------------------------------- drift
