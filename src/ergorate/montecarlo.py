@@ -4,17 +4,20 @@ Samples exact chain trajectories (exponential holding times, jump
 probabilities proportional to off-diagonal rates) and estimates the
 transition law and the weighted-norm decay empirically.
 
-Every random number is a pure function of (seed, path p, step k): step
-k of path p reads raw words 2k (hold) and 2k+1 (jump) of the
-Philox4x64-10 stream keyed by (seed mod 2^64, p), the stream numpy's
-``Philox(key=(seed, p)).random_raw()`` yields.  The counter-based
-generator (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
-easy as 1, 2, 3", SC'11) is evaluated over arrays of keys and counters
-at once, so no per-path generator exists.  The paths of an ensemble,
-and so its occupancy and holding counts, are the same under any
-chunking, and growing it leaves earlier paths unchanged.  Holding-time
-sums are float sums taken block by block and chunk by chunk, so their
-last bits (about 1e-15 relative) depend on the chunk size.
+Every random number is a pure function of (seed, path p, step k).  The
+stream is numpy's Philox4x64-10 (Salmon, Moraes, Dror and Shaw,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) under the one key
+(seed mod 2^64, 0); the path and the step pair are its counter.  Step
+pair j (steps 2j and 2j+1) of path p reads the four words of
+``Philox(key=(seed, 0), counter=(p, j, 0, 0)).random_raw(4)``: hold and
+jump of step 2j, then hold and jump of step 2j+1.  For a run of paths
+those counters are consecutive, so one call of numpy's own generator
+draws a step pair for every path of a chunk from the first live one to
+the last.  The paths of an ensemble, and so its occupancy and holding
+counts, are the same under any chunking, and growing it leaves earlier
+paths unchanged.  Holding-time sums are float sums taken block by block
+and chunk by chunk, so their last bits (about 1e-15 relative) depend on
+the chunk size.
 
 Simulation is vectorized across paths.  Paths advance in fixed blocks
 of steps: a block of uniforms is drawn for the live paths, holds come
@@ -35,18 +38,13 @@ from numpy.typing import NDArray
 from .chain_core import ChainSpec, Distribution, WeightFunction
 from .errors import ErgorateError
 
-# Paths simulated at once.  Bounds the working memory and keeps the
-# Philox temporaries of a block (8 counters per path, about 20 live arrays)
-# in cache: at 1 << 14 they spilled, and 100k paths on a 6-state chain
-# took 2.0-2.2 s instead of 1.7 s (2-vCPU x86 VM).  Streams are keyed by
-# absolute path index, so the chunk size changes no path.
+# Paths simulated at once.  Bounds the working memory and the span a
+# block draws uniforms for (every path from the first live one to the
+# last).  Counters carry the absolute path index, so the chunk size
+# changes no path.
 _CHUNK = 1 << 12
-_BLOCK = 16  # steps drawn per live path per round; even, so whole Philox outputs
+_BLOCK = 16  # steps drawn per live path per round; even, so whole step pairs
 
-# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = 0xFFFFFFFF
 _U64 = (1 << 64) - 1
 
 
@@ -80,69 +78,48 @@ class EmpiricalDecay:
     stderrs: NDArray[np.float64]
 
 
-def _mulhilo(m: int, x: NDArray[np.uint64]) -> tuple[NDArray[np.uint64], NDArray[np.uint64]]:
-    """High and low words of the 128-bit product m * x (64-bit m, x).
+def _stream(seed: int) -> np.random.Generator:
+    """numpy's Philox4x64-10 keyed by (seed mod 2^64, 0), in a Generator.
 
-    The high word is assembled from 32-bit limbs so that no partial sum
-    exceeds 64 bits (Warren, "Hacker's Delight", mulhu); the low word is
-    the wrapping uint64 product.  Updates run in place on temporaries.
+    Built from a fixed seed and then re-keyed, so no OS entropy is read;
+    ``_uniforms`` sets the counter before every draw.
     """
-    m_lo, m_hi = m & _LO32, m >> 32
-    x_lo = x & _LO32
-    x_hi = x >> 32
-    t = x_lo * m_lo
-    t >>= 32
-    t += x_hi * m_lo
-    w = t & _LO32
-    x_lo *= m_hi
-    w += x_lo
-    w >>= 32
-    t >>= 32
-    x_hi *= m_hi
-    x_hi += t
-    x_hi += w
-    return x_hi, x * m
-
-
-def _philox4x64(
-    c0: NDArray[np.uint64], k0: NDArray[np.uint64], k1: NDArray[np.uint64]
-) -> tuple[NDArray[np.uint64], ...]:
-    """Philox4x64-10 of the counter (c0, 0, 0, 0) under the key (k0, k1).
-
-    Arguments broadcast against each other.  The first rounds work on
-    the smaller shapes of their inputs; from the third round on every
-    word has the full broadcast shape.
-    """
-    zero = np.zeros(1, dtype=np.uint64)
-    x0, x1, x2, x3 = c0, zero, zero, zero
-    for r in range(10):
-        if r:
-            k0 = k0 + _PHILOX_W[0]
-            k1 = k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return x0, x1, x2, x3
+    gen = np.random.Generator(np.random.Philox(0))
+    state = gen.bit_generator.state
+    state["state"]["key"] = np.array([seed & _U64, 0], dtype=np.uint64)
+    gen.bit_generator.state = state
+    return gen
 
 
 def _uniforms(
-    seed: int, paths: NDArray[np.int64], k0: int, steps: int
+    gen: np.random.Generator, paths: NDArray[np.int64], k0: int, steps: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Hold and jump uniforms of steps k0 .. k0+steps-1 for each path.
+    """Hold and jump uniforms of steps k0 .. k0+steps-1, shape (steps, paths).
 
-    Step k of path p reads raw words 2k and 2k+1 of the stream
-    ``Philox(key=(seed mod 2^64, p)).random_raw()`` and maps each word
-    w to ``(w >> 11) * 2^-53``, as ``Generator.random`` does.  numpy's
-    Philox fills words 4j .. 4j+3 from the counter j + 1, so one
-    counter serves two steps; k0 and steps must be even.
+    Step pair j (steps 2j and 2j+1) of path p reads the four words of
+    ``Philox(key=(seed, 0), counter=(p, j, 0, 0)).random_raw(4)``: hold
+    and jump of step 2j, then hold and jump of step 2j+1, each word w
+    mapped to ``(w >> 11) * 2^-53`` by ``Generator.random``.  numpy's
+    Philox bumps the counter's first word before each output, so the
+    words of one step pair for the paths lo .. hi are one run of
+    counters: one draw per step pair serves every path in between.
+    ``paths`` must increase; k0 and steps must be even.
     """
-    counters = np.arange(k0 // 2 + 1, (k0 + steps) // 2 + 1, dtype=np.uint64)[None, :]
-    key0 = np.full((1, 1), seed & _U64, dtype=np.uint64)
-    key1 = np.asarray(paths, dtype=np.uint64)[:, None]
-    # (paths, counters, 4) -> (paths, steps, 2): per step, words 2k and 2k+1
-    raw = np.stack(_philox4x64(counters, key0, key1), axis=-1).reshape(len(paths), steps, 2)
-    u = (raw >> 11).astype(np.float64) * 2.0**-53
-    return u[:, :, 0], u[:, :, 1]
+    bitgen = gen.bit_generator
+    state = bitgen.state
+    lo = int(paths[0])
+    span = int(paths[-1]) - lo + 1
+    # (step pairs, paths in [lo, hi], step in pair, hold/jump)
+    raw = np.empty((steps // 2, span, 2, 2))
+    for j in range(steps // 2):
+        state["state"]["counter"] = np.array([lo, k0 // 2 + j, 0, 0], dtype=np.uint64)
+        state["buffer_pos"] = 4  # drop buffered words: the next draw starts at the counter
+        bitgen.state = state
+        gen.random(out=raw[j])
+    if span != len(paths):
+        raw = raw[:, paths - lo]
+    u = raw.transpose(3, 0, 2, 1).reshape(2, steps, len(paths))
+    return u[0], u[1]
 
 
 def _jump_table(
@@ -216,43 +193,45 @@ def _simulate_chunk(
     live = np.arange(hi - lo)  # rows of occ still running
     state = np.full(live.size, start, dtype=np.intp)
     clock = np.zeros(live.size)  # time of each live path's last jump
+    gen = _stream(seed)
     k0 = 0
     while live.size:
         m = live.size
-        u_hold, u_jump = _uniforms(seed, lo + live, k0, _BLOCK)
-        states = np.empty((m, _BLOCK + 1), dtype=np.intp)
-        states[:, 0] = state
+        # step-major (steps, m): each step reads contiguous rows
+        u_hold, u_jump = _uniforms(gen, lo + live, k0, _BLOCK)
+        states = np.empty((_BLOCK + 1, m), dtype=np.intp)
+        states[0] = state
         for k in range(_BLOCK):
-            states[:, k + 1] = _next_states(cdf, target, width, states[:, k], u_jump[:, k])
-        holds = -np.log1p(-u_hold) / exit_rate[states[:, :_BLOCK]]
-        # stamps[:, k] is the time state k was entered; the cumulative sum
-        # runs in path order, so jump times do not depend on the block size
-        stamps = np.empty((m, _BLOCK + 1))
-        stamps[:, 0] = clock
-        stamps[:, 1:] = holds
-        np.cumsum(stamps, axis=1, out=stamps)
+            states[k + 1] = _next_states(cdf, target, width, states[k], u_jump[k])
+        holds = -np.log1p(-u_hold) / exit_rate[states[:_BLOCK]]
+        # stamps[k] is the time state k was entered; the cumulative sum
+        # runs along each path, so jump times do not depend on the block size
+        stamps = np.empty((_BLOCK + 1, m))
+        stamps[0] = clock
+        stamps[1:] = holds
+        np.cumsum(stamps, axis=0, out=stamps)
 
         # state k holds on the grid points in [stamps[k], stamps[k + 1]),
         # so a path's new grid points run from first[0] to first[-1]:
         # write them all at once, path after path
         first = np.searchsorted(times, stamps, side="left")
-        new = first[:, -1] - first[:, 0]
-        run_start = live * g + first[:, 0] - (np.cumsum(new) - new)
+        new = first[-1] - first[0]
+        run_start = live * g + first[0] - (np.cumsum(new) - new)
         occ[np.repeat(run_start, new) + np.arange(new.sum())] = np.repeat(
-            states[:, :_BLOCK].ravel(), np.diff(first, axis=1).ravel()
+            states[:_BLOCK].T.ravel(), np.diff(first, axis=0).T.ravel()
         )
 
-        counted = stamps[:, :_BLOCK] < horizon
+        counted = stamps[:_BLOCK] < horizon
         if k0 == 0:
-            counted[:, 0] = True
-        visited = states[:, :_BLOCK][counted]
+            counted[0] = True
+        visited = states[:_BLOCK][counted]
         hold_sum += np.bincount(visited, weights=holds[counted], minlength=n)
         hold_count += np.bincount(visited, minlength=n)
 
-        going = stamps[:, -1] <= horizon
+        going = stamps[-1] <= horizon
         live = live[going]
-        state = states[going, _BLOCK]
-        clock = stamps[going, -1]
+        state = states[_BLOCK, going]
+        clock = stamps[-1, going]
         k0 += _BLOCK
     return occ.reshape(hi - lo, g), hold_sum, hold_count
 
@@ -316,15 +295,15 @@ def empirical_fnorm(
     """
     m = ensemble.n_paths
     times = ensemble.times
-    est = np.empty(times.size)
-    se = np.empty(times.size)
-    for k in range(times.size):
-        phat = empirical_law(ensemble, k)
-        diff = phat - pi.p
-        est[k] = float(np.dot(f.f, np.abs(diff)))
-        a = f.f * np.sign(diff)
-        var = (np.dot(phat, a**2) - np.dot(phat, a) ** 2) / m
-        se[k] = float(np.sqrt(max(var, 0.0)))
+    n = ensemble.chain.n
+    # one bincount over (time, state) pairs: row k is the law at times[k]
+    cells = ensemble.occupancy + n * np.arange(times.size)
+    phat = np.bincount(cells.ravel(), minlength=times.size * n).reshape(times.size, n) / m
+    diff = phat - pi.p
+    est = np.abs(diff) @ f.f
+    a = f.f * np.sign(diff)
+    var = (np.sum(phat * a**2, axis=1) - np.sum(phat * a, axis=1) ** 2) / m
+    se = np.sqrt(np.maximum(var, 0.0))
     return EmpiricalDecay(times=times, estimates=est, stderrs=se)
 
 

@@ -144,11 +144,11 @@ class RateFit:
 class Propagator:
     """Evaluator for P_t and its deviation from the stationary limit.
 
-    ``method`` is "spectral" (reversible chains), "pade", or "auto"
-    (spectral when the chain passes the detailed-balance test).  The
-    verdict and the eigensystem are read from the chain's memoized
-    analysis, so building several propagators for one spec decomposes
-    once.  ``matrix``, ``deviation`` and ``snapshot`` return full n x n
+    ``method`` is "spectral" (reversible chains only: an irreversible
+    one raises ErgorateError), "pade", or "auto" (spectral when the
+    chain passes the detailed-balance test).  The verdict and the
+    eigensystem are read from the chain's memoized analysis, so building
+    several propagators for one spec decomposes once.  ``matrix``, ``deviation`` and ``snapshot`` return full n x n
     matrices; snapshots at distinct times are independent (and may be
     taken concurrently).  Decay curves read only one row per time: on
     the spectral route from one matrix product, on the Pade route by
@@ -160,12 +160,20 @@ class Propagator:
         if method not in ("auto", "spectral", "pade"):
             raise ErgorateError(f"unknown semigroup method {method!r}")
         self.spec = spec
+        analysis = chain_analysis(spec)
         if method == "auto":
-            method = "spectral" if chain_analysis(spec).reversible else "pade"
+            method = "spectral" if analysis.reversible else "pade"
+        elif method == "spectral" and not analysis.reversible:
+            # the eigen-expansion would propagate the reversibilization, not Q
+            name = f"chain {spec.label!r}" if spec.label else "the chain"
+            raise ErgorateError(
+                f"{name} is irreversible (detailed-balance violation {analysis.violation:.3e}); "
+                "the spectral route needs a reversible chain, use 'pade' or 'auto'"
+            )
         self.method = method
         self._limit = np.outer(np.ones(spec.n), spec.pi)
         if method == "spectral":
-            lam, V, d = chain_analysis(spec).eigensystem
+            lam, V, d = analysis.eigensystem
             self._lam = lam
             self._psi = V / d[:, None]
             self._phi = (V * d[:, None]).T
@@ -529,16 +537,15 @@ def mu_ft_norm(
     return direct, via_dual
 
 
-def _sign_blocks(n: int, block: int = 1 << 14):
-    """Yield blocks of all sign vectors in {-1,+1}^n with first entry +1."""
-    total = 1 << (n - 1)
-    bits = np.arange(n - 1, dtype=np.uint64)
-    for start in range(0, total, block):
-        codes = np.arange(start, min(start + block, total), dtype=np.uint64)
-        G = np.empty((codes.size, n))
-        G[:, 0] = 1.0
-        G[:, 1:] = np.where((codes[:, None] >> bits[None, :]) & np.uint64(1), 1.0, -1.0)
-        yield G
+# Free sign coordinates enumerated as one table; the rest are looped over.
+# At 12 the table's image is 4096 x n doubles (640 kB at n = 20).
+_LOW_SIGNS = 12
+
+
+def _sign_table(k: int) -> NDArray[np.float64]:
+    """All 2^k vectors of {-1,+1}^k, one per row."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return bits * 2.0 - 1.0
 
 
 def _vertex_max(A: NDArray[np.float64], nu: NDArray[np.float64], image) -> float:
@@ -546,7 +553,10 @@ def _vertex_max(A: NDArray[np.float64], nu: NDArray[np.float64], image) -> float
 
     For a convex image function the objective is convex in g, so its
     max over the cube |g| <= 1 sits at a vertex; enumerating sign vectors
-    (2^(n-1) after the symmetry g -> -g) is exact.  Capped at n = 20.
+    (2^(n-1) after the symmetry g -> -g, which fixes g_0 = +1) is exact.
+    Capped at n = 20.  The low free coordinates' products ``Y`` are
+    formed once; each pattern of the high ones adds one row vector to
+    them.
     """
     A = np.asarray(A, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -555,9 +565,12 @@ def _vertex_max(A: NDArray[np.float64], nu: NDArray[np.float64], image) -> float
         raise ErgorateError("need a square operator and a matching measure vector")
     if n > 20:
         raise TooLarge(f"sign enumeration capped at n = 20, got {n}")
+    low = min(n - 1, _LOW_SIGNS)
+    Y = _sign_table(low) @ A[:, 1 : 1 + low].T
+    shifts = A[:, 0] + _sign_table(n - 1 - low) @ A[:, 1 + low :].T
     best = 0.0
-    for G in _sign_blocks(n):
-        best = max(best, float((image(G @ A.T) @ nu).max()))
+    for shift in shifts:
+        best = max(best, float((image(Y + shift) @ nu).max()))
     return best
 
 

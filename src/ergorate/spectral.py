@@ -187,9 +187,11 @@ class ChainAnalysis:
       the gap and the Pade route reads none.
     - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition,
       applied to Q when reversible and to its reversibilization
-      otherwise.  Built only when read: by ``gap`` and the spectral
-      propagator on a reversible chain, and by a forced spectral
-      propagator on an irreversible one.
+      otherwise.  Built only when read, and nothing in ergorate reads it
+      on an irreversible chain: ``gap``, ``spectrum`` and the spectral
+      propagator read it on a reversible one, and the spectral
+      propagator refuses an irreversible chain, whose eigensystem would
+      expand the reversibilization, not Q.
     - ``spectrum``: the spectrum of Q in eigenvalues() order, and
       ``true_decay_rate`` read from it.  Reversible: -lam of the
       eigensystem, the spectrum of the symmetrized generator, so

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ergorate.montecarlo import (
     _jump_table,
     _next_states,
     _simulate_chunk,
+    _stream,
     _uniforms,
     empirical_fnorm,
     empirical_law,
@@ -26,21 +29,32 @@ def two_state():
     return chain_spec(validate([[-1.0, 1.0], [1.0, -1.0]]), weight_function([1.0, 1.0]))
 
 
-def reference_path(spec, start, times, seed, p):
-    """Path p one step at a time from numpy's own Philox stream.
+def philox_words(seed, p, j):
+    """The four words of step pair j of path p, as numpy's own Philox
+    draws them: key (seed mod 2^64, 0), counter (p, j, 0, 0)."""
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=np.array([p, j, 0, 0], dtype=np.uint64)).random_raw(4)
 
-    Step k uses raw words 2k (hold, by inversion) and 2k+1 (jump: target
-    min(#{cdf <= u}, deg - 1) over the increasing targets).  Returns the
-    occupancy and the counted (state, hold) pairs.
+
+def reference_path(spec, start, times, seed, p):
+    """Path p one step at a time from numpy's own Philox.
+
+    Step pair j reads the words of ``philox_words(seed, p, j)``: hold and
+    jump of step 2j, then hold and jump of step 2j+1.  A hold is drawn
+    by inversion, a jump picks target min(#{cdf <= u}, deg - 1) over the
+    increasing targets.  Returns the occupancy and the counted (state,
+    hold) pairs.
     """
-    stream = np.random.Philox(key=np.array([seed % 2**64, p], dtype=np.uint64))
+    words = itertools.chain.from_iterable(
+        philox_words(seed, p, j) for j in itertools.count()
+    )
     exit_rate = -np.diag(spec.q)
     horizon = times[-1]
     occ = np.empty(times.size, dtype=np.int32)
     counted = []
     state, clock, g = start, 0.0, 0
     while not counted or clock <= horizon:
-        u_hold, u_jump = (stream.random_raw(2) >> 11) * 2.0**-53
+        u_hold, u_jump = (np.array([next(words), next(words)]) >> 11) * 2.0**-53
         hold = -np.log1p(-u_hold) / exit_rate[state]
         if not counted or clock < horizon:
             counted.append((state, hold))
@@ -108,24 +122,69 @@ def test_chunking_changes_only_the_last_bits_of_hold_sums(monkeypatch, bd6):
 
 @pytest.mark.parametrize("seed", [0, 8001, 2**63, 2**63 + 12345, 2**64 - 1, -7])
 def test_uniforms_match_numpy_philox(seed):
-    # step k of path p reads raw words 2k (hold) and 2k+1 (jump) of
-    # Philox(key=(seed mod 2^64, p)), mapped as Generator.random maps them
-    paths = np.array([0, 1, 5, 40000, 2**40 + 3])
+    # step pair j of path p reads the four words of Philox(key=(seed mod
+    # 2^64, 0), counter=(p, j, 0, 0)): hold and jump of step 2j, then of
+    # step 2j+1, mapped as Generator.random maps them.  Path sets: a
+    # non-contiguous live subset inside one chunk, and a run from 2^40.
     steps = 48
-    hold, jump = _uniforms(seed, paths, 0, steps)
-    later_hold, later_jump = _uniforms(seed, paths, 32, 16)
-    for r, p in enumerate(paths):
-        key = np.array([seed % 2**64, p], dtype=np.uint64)
-        raw = np.random.Philox(key=key).random_raw(2 * steps)
-        u = (raw >> 11) * 2.0**-53
-        assert np.array_equal(hold[r], u[0::2])
-        assert np.array_equal(jump[r], u[1::2])
-        assert np.array_equal(later_hold[r], u[64::2])
-        assert np.array_equal(later_jump[r], u[65::2])
-    if seed >= 0:
-        key = np.array([seed, paths[2]], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        assert np.array_equal(gen.random(2 * steps)[0::2], hold[2])
+    gen = _stream(seed)  # one generator serves every draw, as in a chunk
+    for paths in (np.array([0, 1, 5, 40, 4000]), 2**40 + np.arange(6)):
+        hold, jump = _uniforms(gen, paths, 0, steps)
+        later_hold, later_jump = _uniforms(gen, paths, 32, 16)
+        assert hold.shape == jump.shape == (steps, paths.size)
+        for r, p in enumerate(paths):
+            raw = np.concatenate([philox_words(seed, p, j) for j in range(steps // 2)])
+            u = (raw >> 11) * 2.0**-53
+            assert np.array_equal(hold[:, r], u[0::2])
+            assert np.array_equal(jump[:, r], u[1::2])
+            assert np.array_equal(later_hold[:, r], u[64::2])
+            assert np.array_equal(later_jump[:, r], u[65::2])
+        if seed >= 0:
+            key = np.array([seed, 0], dtype=np.uint64)
+            counter = np.array([paths[2], 3, 0, 0], dtype=np.uint64)
+            ref = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            assert np.array_equal(ref.random(4), [hold[6, 2], jump[6, 2], hold[7, 2], jump[7, 2]])
+
+
+class RecordingStream:
+    """Stands in for the sampler's generator; logs the first counter
+    word, the step pair and the path count of every draw."""
+
+    def __init__(self, gen, log):
+        self.bit_generator = gen.bit_generator
+        self._gen = gen
+        self._log = log
+
+    def random(self, out):
+        counter = self.bit_generator.state["state"]["counter"]
+        self._log.append((int(counter[0]), int(counter[1]), out.shape[0]))
+        return self._gen.random(out=out)
+
+
+def test_late_blocks_draw_only_the_live_span(monkeypatch):
+    # each block draws step pairs for the paths from the first live one
+    # to the last, not from the chunk's first path
+    spec = chain_spec(
+        validate([[-0.3, 0.3, 0.0], [0.01, -30.01, 30.0], [0.0, 30.0, -30.0]]),
+        weight_function([1.0, 1.0, 1.0]),
+    )
+    times = np.array([0.0, 1.0, 2.5, 4.0])
+    lo, hi = 1000, 1060
+    pairs = montecarlo._BLOCK // 2
+
+    def draws(a, b):
+        log = []
+        monkeypatch.setattr(montecarlo, "_stream", lambda seed: RecordingStream(_stream(seed), log))
+        _simulate_chunk(spec, 0, times, 5, a, b)
+        return log
+
+    blocks = np.array([len(draws(p, p + 1)) // pairs for p in range(lo, hi)])
+    log = draws(lo, hi)
+    assert len(log) == pairs * blocks.max()
+    assert 1 < blocks.max() and np.sum(blocks == 1) > 5  # paths end in different blocks
+    for i, (c0, j, span) in enumerate(log):
+        live = lo + np.nonzero(blocks > i // pairs)[0]
+        assert (c0, j, span) == (live[0], i, live[-1] - live[0] + 1)
 
 
 def test_ensemble_matches_step_by_step_reference(ex22, bd6):
@@ -316,6 +375,33 @@ def test_empirical_fnorm_tracks_deterministic_curve(bd6):
     for k, t in enumerate(times):
         exact = f_norm(prop.deviation(t)[0, :], bd6.weight)
         assert abs(emp.estimates[k] - exact) <= 4.0 * max(emp.stderrs[k], 1e-3)
+
+
+def looped_fnorm(ensemble, pi, f):
+    """Reference: the estimate and its standard error one time at a time."""
+    m = ensemble.n_paths
+    est, se = [], []
+    for k in range(ensemble.times.size):
+        phat = empirical_law(ensemble, k)
+        diff = phat - pi.p
+        est.append(float(np.dot(f.f, np.abs(diff))))
+        a = f.f * np.sign(diff)
+        var = (np.dot(phat, a**2) - np.dot(phat, a) ** 2) / m
+        se.append(float(np.sqrt(max(var, 0.0))))
+    return np.array(est), np.array(se)
+
+
+def test_empirical_fnorm_matches_the_per_time_loop(ex21, bd6):
+    rng = np.random.default_rng(4)
+    heavy = weight_function(rng.uniform(1.0, 50.0, bd6.n))
+    for spec, f in ((ex21, ex21.weight), (bd6, bd6.weight), (bd6, heavy)):
+        times = np.array([0.0, 0.1, 0.1, 0.7, 2.0, 6.0, 30.0])
+        ens = sample_paths(spec, 0, times, 3000, seed=9)
+        emp = empirical_fnorm(ens, spec.stationary, f)
+        est, se = looped_fnorm(ens, spec.stationary, f)
+        tol = 1e-15 * f.f.sum()
+        assert np.max(np.abs(emp.estimates - est)) <= tol
+        assert np.max(np.abs(emp.stderrs - se)) <= tol
 
 
 def test_empirical_csv_format(ex21):

@@ -380,6 +380,32 @@ def test_opnorm_matches_itertools_oracle():
         assert opnorm_inf_to_2(A, nu) == pytest.approx(b2, rel=1e-13)
 
 
+def blocked_vertex_max(A, nu, image, block=1 << 14):
+    """Reference enumerator: every sign vector with g_0 = +1, rebuilt
+    from the bits of its code, block by block."""
+    n = A.shape[0]
+    total = 1 << (n - 1)
+    bits = np.arange(n - 1, dtype=np.uint64)
+    best = 0.0
+    for start in range(0, total, block):
+        codes = np.arange(start, min(start + block, total), dtype=np.uint64)
+        G = np.empty((codes.size, n))
+        G[:, 0] = 1.0
+        G[:, 1:] = np.where((codes[:, None] >> bits[None, :]) & np.uint64(1), 1.0, -1.0)
+        best = max(best, float((image(G @ A.T) @ nu).max()))
+    return best
+
+
+@pytest.mark.parametrize("image", [np.abs, np.square])
+def test_vertex_max_matches_blocked_enumerator(image):
+    rng = np.random.default_rng(33)
+    for n in range(1, 19):
+        A = rng.standard_normal((n, n))
+        nu = rng.uniform(0.1, 1.0, n)
+        ref = blocked_vertex_max(A, nu, image)
+        assert abs(semigroup._vertex_max(A, nu, image) - ref) <= 1e-14 * ref
+
+
 def test_opnorm_size_cap():
     A = np.eye(21)
     nu = np.full(21, 1.0 / 21)
@@ -444,12 +470,26 @@ def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
 @pytest.mark.parametrize("method", ["spectral", "pade"])
 def test_row_curve_matches_full_deviation(reversible, n, method):
     spec = dense_chain(reversible, n)
+    if method == "spectral" and not reversible:
+        # the eigen-expansion would propagate the reversibilization, not Q
+        with pytest.raises(ErgorateError, match="irreversible"):
+            Propagator(spec, method=method)
+        return
     prop = Propagator(spec, method=method)
     grid = default_time_grid(chain_analysis(spec).gap)
     curve = decay_curve(spec, 2, grid, propagator=prop)
     full = [f_norm(prop.deviation(t)[2], spec.weight) for t in grid]
     assert curve.method == method
     assert np.max(np.abs(curve.fnorms - full)) <= 1e-12 * spec.f.sum()
+
+
+def test_forced_spectral_route_refuses_an_irreversible_chain(ex22):
+    import scipy.linalg
+
+    with pytest.raises(ErgorateError, match="chain 'example22' is irreversible"):
+        Propagator(ex22, method="spectral")
+    P = Propagator(ex22).matrix(1.0)
+    assert np.max(np.abs(P - scipy.linalg.expm(ex22.q))) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
