@@ -262,6 +262,12 @@ def weight_function(f_raw: Sequence[float] | NDArray) -> WeightFunction:
     return WeightFunction(f=_frozen(f))
 
 
+def stationary_residual(Q: RateMatrix, p: NDArray[np.float64], tol: Tolerances) -> tuple[float, float]:
+    """(max_j |(p Q)_j|, tol.stat_tol * max|q_ij|): p passes as a
+    stationary law of Q when the residual is at most the bound."""
+    return float(np.max(np.abs(p @ Q.q))), tol.stat_tol * Q.max_rate
+
+
 def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
     """Solve pi Q = 0 with the mass-one normalization.
 
@@ -285,8 +291,8 @@ def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
         p = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"stationary solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(p @ Q.q)))
-    if residual > tol.stat_tol * Q.max_rate:
+    residual, bound = stationary_residual(Q, p, tol)
+    if residual > bound:
         raise SingularSystem(f"stationary residual {residual:.3e} exceeds tolerance")
     if np.any(p <= 0.0):
         raise SingularSystem("stationary solve produced non-positive entries")
@@ -356,8 +362,8 @@ def chain_spec(
     else:
         if pi.n != Q.n:
             raise ErgorateError(f"stationary length {pi.n} does not match state count {Q.n}")
-        residual = float(np.max(np.abs(pi.p @ Q.q)))
-        if residual > tol.stat_tol * Q.max_rate:
+        residual, bound = stationary_residual(Q, pi.p, tol)
+        if residual > bound:
             raise ErgorateError(
                 f"supplied stationary law has residual {residual:.3e}, exceeds tolerance"
             )

@@ -6,25 +6,24 @@ full complex spectrum, the slowest genuine decay mode, the per-state
 constants of the weighted-norm convergence bound, and a Foster-Lyapunov
 drift coefficient for comparison with the spectral rate.
 
-For reversible chains the generator is similar to a symmetric matrix via
-the square-root-of-pi scaling, so a symmetric eigensolver gives the gap
-directly.  For irreversible chains the quadratic form only sees the
-symmetric part of the generator, so the gap is computed on the additive
-symmetrization; the slowest eigenvalue of the original generator can be
-strictly faster, and both numbers are reported.
+The gap is lam[1] of the pi-symmetrized generator, the symmetric part of
+diag(sqrt(pi)) (-Q) diag(1/sqrt(pi)).  For a reversible chain that
+matrix is similar to -Q, so its spectrum is Q's.  For an irreversible
+chain it is the symmetrized additive reversibilization (Q + Qhat)/2,
+whose quadratic form is Q's, so lam[1] is still the variational gap;
+the slowest eigenvalue of Q itself can be strictly faster, and both
+numbers are reported.
 
-The per-generator functions (gap, eigenvalues, true_decay_rate)
-recompute on every call; gap is ChainAnalysis(Q, pi, tol).gap, so there
-is one gap code path.  Per chain, the reversibility verdict, the gap,
-the symmetrized eigensystem and the complex spectrum are computed at
-most once by ChainAnalysis, memoized on the ChainSpec; spectral_report,
-the propagator, decay curves and the CLI all read from it.  Reversible
-(at the spec's rev_tol): one eigh, whose vectors the spectral route
-needs; the memoized spectrum is the symmetrized generator's, read from
-it: real, as accurate as a symmetric eigensolver makes it, and its
-slowest mode is the gap exactly.  Irreversible: one eigvalsh of the
-symmetrized reversibilization for the gap (no eigenvector enters it, and
-the Pade route reads none) and one general eigvals for the spectrum.
+Each spectral number has one code path, ChainAnalysis.  The public
+functions gap, eigenvalues and true_decay_rate read a fresh
+ChainAnalysis(Q, pi, tol), so they equal the report's fields exactly.
+Per chain, the analysis is memoized on the ChainSpec (chain_analysis);
+spectral_report, the propagator, decay curves and the CLI read it.
+Reversible (at the spec's rev_tol): one eigh, whose vectors the spectral
+route needs; the gap and the real spectrum are read from it, so the
+slowest mode of the spectrum is the gap exactly.  Irreversible: one
+values-only eigvalsh for the gap (no eigenvector enters it, and the Pade
+route reads none) and one general eigvals of Q for the spectrum.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .chain_core import (
     Tolerances,
     WeightFunction,
     is_reversible,
-    reversibilize,
 )
 from .errors import EigenFailure, ErgorateError, NoDrift
 
@@ -91,37 +89,23 @@ class DriftReport:
     small_set: tuple[int, ...]
 
 
-def _symmetrized_spectrum(
-    Q: RateMatrix, pi: Distribution, vectors: bool
-) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64]]:
-    """(lam, V, d) of S = diag(d) (-Q) diag(1/d), d = sqrt(pi), symmetrized:
-    one eigh when ``vectors``, else one eigvalsh and V = None.  Both solves
-    pass the same zero-mode check: lam[0] zero and simple."""
-    d = np.sqrt(pi.p)
-    S = (d[:, None] * (-Q.q)) / d[None, :]
-    S = 0.5 * (S + S.T)
-    try:
-        lam, V = np.linalg.eigh(S) if vectors else (np.linalg.eigvalsh(S), None)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
-    tol = EIG_TOL * max(Q.max_rate, 1e-300)
-    if abs(lam[0]) > tol:
-        raise EigenFailure(f"smallest symmetrized eigenvalue {lam[0]:.3e} is not zero")
-    if Q.n > 1 and lam[1] <= tol:
-        raise EigenFailure("zero eigenvalue is not simple; chain is numerically reducible")
-    return lam, V, d
+def _zero_tol(Q: RateMatrix) -> float:
+    """Largest |eigenvalue| taken for the zero mode of Q."""
+    return EIG_TOL * max(Q.max_rate, 1e-300)
 
 
 def symmetric_eigendecomposition(
-    Q: RateMatrix, pi: Distribution
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    Q: RateMatrix, pi: Distribution, vectors: bool = True
+) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64]]:
     """Eigendecomposition of the pi-symmetrized negative generator.
 
-    Returns (lam, V, d) where d = sqrt(pi), S = diag(d) (-Q) diag(1/d)
-    symmetrized, and S = V diag(lam) V^T with lam ascending.  Only
-    meaningful when Q is reversible with respect to pi (the enforced
-    symmetrization would otherwise change the operator); lam[0] is the
-    zero mode with eigenvector d.
+    Returns (lam, V, d) where d = sqrt(pi), S is the symmetric part of
+    diag(d) (-Q) diag(1/d), and S = V diag(lam) V^T with lam ascending:
+    one eigh, or with ``vectors=False`` one eigvalsh and V = None.  When
+    Q is reversible with respect to pi, S is similar to -Q; otherwise S
+    is the symmetrized additive reversibilization (Q + Qhat)/2, whose
+    quadratic form is Q's.  Either way lam[0] is the zero mode, with
+    eigenvector d, and lam[1] the variational gap.
 
     Raises
     ------
@@ -129,74 +113,60 @@ def symmetric_eigendecomposition(
         Solver failure, or the smallest eigenvalue is not the expected
         single zero mode.
     """
-    return _symmetrized_spectrum(Q, pi, vectors=True)
+    d = np.sqrt(pi.p)
+    S = (d[:, None] * (-Q.q)) / d[None, :]
+    S = 0.5 * (S + S.T)
+    try:
+        lam, V = np.linalg.eigh(S) if vectors else (np.linalg.eigvalsh(S), None)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
+    tol = _zero_tol(Q)
+    if abs(lam[0]) > tol:
+        raise EigenFailure(f"smallest symmetrized eigenvalue {lam[0]:.3e} is not zero")
+    if Q.n > 1 and lam[1] <= tol:
+        raise EigenFailure("zero eigenvalue is not simple; chain is numerically reducible")
+    return lam, V, d
 
 
 def gap(Q: RateMatrix, pi: Distribution, tol: Tolerances = Tolerances()) -> float:
-    """Variational spectral gap of the generator: ChainAnalysis(Q, pi, tol).gap.
-
-    Reversible (at tol.rev_tol): second-smallest eigenvalue of the
-    symmetrized operator, from its eigh.  Irreversible: the quadratic form
-    coincides with that of the additive symmetrization, so the gap is the
-    second-smallest eigenvalue there, from a values-only eigvalsh.
-    """
+    """Variational spectral gap of the generator: ChainAnalysis(Q, pi, tol).gap."""
     return ChainAnalysis(Q, pi, tol).gap
 
 
-def eigenvalues(Q: RateMatrix) -> tuple[complex, ...]:
-    """Full spectrum of Q, sorted by descending real part then ascending
-    imaginary part.  Exactly one eigenvalue must sit at zero."""
-    try:
-        lam = np.linalg.eigvals(Q.q)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigenvalue solver failed: {exc}") from exc
-    tol = EIG_TOL * max(Q.max_rate, 1e-300)
-    n_zero = int(np.sum(np.abs(lam) <= tol))
-    if n_zero != 1:
-        raise EigenFailure(f"expected one zero eigenvalue, found {n_zero}")
-    order = np.lexsort((lam.imag, -lam.real))
-    return tuple(complex(z) for z in lam[order])
+def eigenvalues(Q: RateMatrix, pi: Distribution, tol: Tolerances = Tolerances()) -> tuple[complex, ...]:
+    """Spectrum of Q, sorted by descending real part then ascending
+    imaginary part: ChainAnalysis(Q, pi, tol).spectrum."""
+    return ChainAnalysis(Q, pi, tol).spectrum
 
 
-def true_decay_rate(Q: RateMatrix) -> float:
-    """Negative of the largest real part over the nonzero spectrum.
-
-    This is the actual asymptotic exponential decay rate of the
-    semigroup deviation; it equals the gap for reversible chains and can
-    exceed it for irreversible ones.
-    """
-    return _slowest_rate(eigenvalues(Q), Q)
-
-
-def _slowest_rate(lam: tuple[complex, ...], Q: RateMatrix) -> float:
-    tol = EIG_TOL * max(Q.max_rate, 1e-300)
-    nonzero = [z for z in lam if abs(z) > tol]
-    return float(-max(z.real for z in nonzero))
+def true_decay_rate(Q: RateMatrix, pi: Distribution, tol: Tolerances = Tolerances()) -> float:
+    """Asymptotic exponential decay rate of the semigroup deviation:
+    ChainAnalysis(Q, pi, tol).true_decay_rate.  Equals the gap for
+    reversible chains and can exceed it for irreversible ones."""
+    return ChainAnalysis(Q, pi, tol).true_decay_rate
 
 
 class ChainAnalysis:
-    """The expensive spectral quantities of one chain, each computed at
-    most once and only when first read.
+    """The spectral numbers of one chain, each computed at most once and
+    only when first read.  Every spectral number in ergorate is read from
+    one of these.
 
     - ``reversible``/``violation``: the detailed-balance test at
       ``tol.rev_tol``, the spec's own.
-    - ``gap``: lam[1] of the symmetrized generator, Q's when reversible
-      and its reversibilization's otherwise.  Reversible: read from
-      ``eigensystem``, which the spectral route needs anyway.
-      Irreversible: one values-only eigvalsh, since no eigenvector enters
-      the gap and the Pade route reads none.
-    - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition,
-      applied to Q when reversible and to its reversibilization
-      otherwise.  Built only when read, and nothing in ergorate reads it
-      on an irreversible chain: ``gap``, ``spectrum`` and the spectral
-      propagator read it on a reversible one, and the spectral
-      propagator refuses an irreversible chain, whose eigensystem would
-      expand the reversibilization, not Q.
-    - ``spectrum``: the spectrum of Q in eigenvalues() order, and
-      ``true_decay_rate`` read from it.  Reversible: -lam of the
-      eigensystem, the spectrum of the symmetrized generator, so
-      ``true_decay_rate`` equals ``gap`` exactly.  Irreversible: one
+    - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition(Q, pi).
+      Read by ``gap`` and ``spectrum`` on a reversible chain, and by the
+      spectral propagator, which refuses an irreversible chain: there the
+      eigensystem expands the reversibilization, not Q.
+    - ``gap``: lam[1] of the pi-symmetrized generator.  Reversible: read
+      from ``eigensystem``.  Irreversible: one values-only eigvalsh of the
+      same matrix, since no eigenvector enters the gap and the Pade route
+      reads none.
+    - ``spectrum``: the spectrum of Q, sorted by descending real part then
+      ascending imaginary part, with exactly one zero eigenvalue.
+      Reversible: -lam of ``eigensystem``, real.  Irreversible: one
       eigvals of Q.
+    - ``true_decay_rate``: minus the largest real part over the nonzero
+      spectrum; equal to ``gap`` exactly on a reversible chain.
 
     Obtain one through chain_analysis(spec), which memoizes it on the
     spec.  It holds the generator and stationary law, not the spec, so
@@ -224,27 +194,35 @@ class ChainAnalysis:
     def eigensystem(
         self,
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-        Q, pi = self.rate_matrix, self.stationary
-        return symmetric_eigendecomposition(Q if self.reversible else reversibilize(Q, pi), pi)
+        return symmetric_eigendecomposition(self.rate_matrix, self.stationary)
 
     @cached_property
     def gap(self) -> float:
         if self.reversible:
             return float(self.eigensystem[0][1])
-        Q, pi = self.rate_matrix, self.stationary
-        return float(_symmetrized_spectrum(reversibilize(Q, pi), pi, vectors=False)[0][1])
+        lam, _, _ = symmetric_eigendecomposition(self.rate_matrix, self.stationary, vectors=False)
+        return float(lam[1])
 
     @cached_property
     def spectrum(self) -> tuple[complex, ...]:
         if self.reversible:
-            # lam ascending: -lam is already in eigenvalues()' order; 0.0 - lam
+            # lam ascending: -lam is already in descending order; 0.0 - lam
             # keeps an exact zero mode +0.0 (unary minus would print -0.0)
             return tuple((0.0 - self.eigensystem[0]).astype(complex).tolist())
-        return eigenvalues(self.rate_matrix)
+        try:
+            lam = np.linalg.eigvals(self.rate_matrix.q)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(f"eigenvalue solver failed: {exc}") from exc
+        n_zero = int(np.sum(np.abs(lam) <= _zero_tol(self.rate_matrix)))
+        if n_zero != 1:
+            raise EigenFailure(f"expected one zero eigenvalue, found {n_zero}")
+        order = np.lexsort((lam.imag, -lam.real))
+        return tuple(complex(z) for z in lam[order])
 
     @property
     def true_decay_rate(self) -> float:
-        return _slowest_rate(self.spectrum, self.rate_matrix)
+        tol = _zero_tol(self.rate_matrix)
+        return float(-max(z.real for z in self.spectrum if abs(z) > tol))
 
 
 def chain_analysis(spec: ChainSpec) -> ChainAnalysis:

@@ -139,7 +139,7 @@ def test_criterion_4_cycle_chain_spectrum_and_oscillating_rate():
     exact_pi = np.array([0.5, 0.25, 0.25])
     assert np.max(np.abs(spec.pi - exact_pi)) <= 1e-12
     assert np.max(np.abs(stationary(spec.rate_matrix).p - exact_pi)) <= 1e-12
-    lam = eigenvalues(spec.rate_matrix)
+    lam = eigenvalues(spec.rate_matrix, spec.stationary)
     expected = [0.0, complex(-1.25, -np.sqrt(7.0) / 4.0), complex(-1.25, np.sqrt(7.0) / 4.0)]
     for z, w in zip(lam, expected):
         assert abs(z - w) <= 1e-9
@@ -234,7 +234,7 @@ def test_criterion_7_irreversible_rate_ordering_and_bound():
         f = rng.uniform(1.0, 3.0, n)
         spec = chain_spec(validate(q), weight_function(f))
         g = gap(spec.rate_matrix, spec.stationary)
-        tdr = true_decay_rate(spec.rate_matrix)
+        tdr = true_decay_rate(spec.rate_matrix, spec.stationary)
         assert tdr >= g - 1e-9, f"n={n}: true rate {tdr} below gap {g}"
         grid = default_time_grid(g)
         prop = Propagator(spec)

@@ -44,6 +44,10 @@ def write_chain(tmp_path, name, obj):
         # irreversible: the Pade route uniformizes the row, no dense expm
         (["decay", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
         (["drift", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
+        # the battery reads each chain's memo: one eigh per reversible chain
+        # (three battery chains, one lemma chain), example22's eigvalsh and
+        # eigvals; the expm are the Pade route's matrices and mu_ft_norm's dual
+        (["verify"], {"eigh": 4, "eigvalsh": 1, "eigvals": 1, "expm": 38}),
     ],
 )
 def test_decompositions_per_call(capsys, decomposition_counts, argv, expected):

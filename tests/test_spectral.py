@@ -120,7 +120,7 @@ def test_gap_variational_bound_attained(bd6):
 # --------------------------------------------------------------- eigenvalues
 
 def test_eigenvalues_cycle_chain(ex22):
-    lam = eigenvalues(ex22.rate_matrix)
+    lam = eigenvalues(ex22.rate_matrix, ex22.stationary)
     expected = [0.0, complex(-1.25, -SQRT7_OVER_4), complex(-1.25, SQRT7_OVER_4)]
     assert len(lam) == 3
     for z, w in zip(lam, expected):
@@ -128,7 +128,7 @@ def test_eigenvalues_cycle_chain(ex22):
 
 
 def test_eigenvalues_sorted_descending_real_then_imag(ex22):
-    lam = eigenvalues(ex22.rate_matrix)
+    lam = eigenvalues(ex22.rate_matrix, ex22.stationary)
     reals = [z.real for z in lam]
     assert reals == sorted(reals, reverse=True)
     assert lam[1].imag < lam[2].imag
@@ -136,19 +136,19 @@ def test_eigenvalues_sorted_descending_real_then_imag(ex22):
 
 def test_eigenvalues_two_state():
     Q = validate([[-1.0, 1.0], [1.0, -1.0]])
-    lam = eigenvalues(Q)
+    lam = eigenvalues(Q, stationary(Q))
     assert abs(lam[0]) <= 1e-12
     assert abs(lam[1] - (-2.0)) <= 1e-12
 
 
 def test_eigenvalues_reversible_are_real(bd6):
-    lam = eigenvalues(bd6.rate_matrix)
+    lam = eigenvalues(bd6.rate_matrix, bd6.stationary)
     assert max(abs(z.imag) for z in lam) <= 1e-9
 
 
 def test_eigenvalues_nonzero_have_negative_real_part(ex22, bd6):
     for spec in (ex22, bd6):
-        lam = eigenvalues(spec.rate_matrix)
+        lam = eigenvalues(spec.rate_matrix, spec.stationary)
         assert all(z.real < 0 for z in lam[1:])
 
 
@@ -162,25 +162,36 @@ def test_eigenvalues_reject_double_zero():
         ]
     )
     q.setflags(write=False)
-    with pytest.raises(EigenFailure, match="zero"):
-        eigenvalues(RateMatrix(n=4, q=q))
+    # reversible: the eigh of the symmetrized generator finds the double zero
+    with pytest.raises(EigenFailure, match="zero eigenvalue is not simple"):
+        eigenvalues(RateMatrix(n=4, q=q), distribution([0.25] * 4))
+    # two disjoint one-way 3-cycles, irreversible: the eigvals of Q finds it
+    cycle = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+    q = np.zeros((6, 6))
+    q[:3, :3], q[3:, 3:] = cycle, cycle
+    q.setflags(write=False)
+    Q, pi = RateMatrix(n=6, q=q), distribution([1.0 / 6.0] * 6)
+    assert not is_reversible(Q, pi)[0]
+    with pytest.raises(EigenFailure, match="expected one zero eigenvalue, found 2"):
+        eigenvalues(Q, pi)
 
 
 # ----------------------------------------------------------- true decay rate
 
 def test_true_decay_rate_cycle_chain(ex22):
-    assert true_decay_rate(ex22.rate_matrix) == pytest.approx(1.25, abs=1e-9)
+    assert true_decay_rate(ex22.rate_matrix, ex22.stationary) == pytest.approx(1.25, abs=1e-9)
 
 
 def test_true_decay_rate_equals_gap_when_reversible(bd6):
-    tdr = true_decay_rate(bd6.rate_matrix)
+    tdr = true_decay_rate(bd6.rate_matrix, bd6.stationary)
     g = gap(bd6.rate_matrix, bd6.stationary)
-    assert abs(tdr - g) <= 1e-9
+    # both are lam[1] of the same eigh
+    assert tdr == g
 
 
 def test_true_decay_rate_two_state():
     Q = validate([[-1.0, 1.0], [1.0, -1.0]])
-    assert true_decay_rate(Q) == pytest.approx(2.0, abs=1e-12)
+    assert true_decay_rate(Q, stationary(Q)) == pytest.approx(2.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -190,7 +201,7 @@ def test_true_decay_rate_at_least_gap(seed):
     q = random_irreversible(rng, int(rng.integers(3, 10)))
     Q = validate(q)
     pi = stationary(Q)
-    assert true_decay_rate(Q) >= gap(Q, pi) - 1e-9
+    assert true_decay_rate(Q, pi) >= gap(Q, pi) - 1e-9
 
 
 # ------------------------------------------------------------------ constants
@@ -254,21 +265,31 @@ def test_spectral_report_matches_per_generator_functions(ex21, ex22, bd6):
     irr40 = chain_spec(validate(q), weight_function(np.ones(40)))
     assert not chain_analysis(irr40).reversible
     for spec in (ex21, ex22, bd6, irr40):
+        Q, pi = spec.rate_matrix, spec.stationary
         rep = spectral_report(spec)
-        assert rep.reversible == is_reversible(spec.rate_matrix, spec.stationary)[0]
-        assert rep.gap == gap(spec.rate_matrix, spec.stationary)
+        # one code path per number: equal, not merely close, on either verdict
+        assert (rep.reversible, chain_analysis(spec).violation) == is_reversible(Q, pi)
+        assert rep.gap == gap(Q, pi)
+        assert rep.eigenvalues == eigenvalues(Q, pi)
+        assert rep.true_decay_rate == true_decay_rate(Q, pi)
         if rep.reversible:
-            # the symmetrized generator's spectrum, from the eigh: its
-            # slowest mode is the gap itself
-            tol = 1e-13 * spec.rate_matrix.max_rate
-            err = np.abs(np.array(rep.eigenvalues) - np.array(eigenvalues(spec.rate_matrix)))
-            assert np.max(err) <= tol
+            # the spectrum is read from the eigh: its slowest mode is the gap
             assert rep.true_decay_rate == rep.gap
-            assert abs(rep.true_decay_rate - true_decay_rate(spec.rate_matrix)) <= tol
-        else:
-            assert rep.eigenvalues == eigenvalues(spec.rate_matrix)
-            assert rep.true_decay_rate == true_decay_rate(spec.rate_matrix)
-        assert chain_analysis(spec).violation == is_reversible(spec.rate_matrix, spec.stationary)[1]
+
+
+@pytest.mark.parametrize("reader", [gap, eigenvalues, true_decay_rate], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("chain", ["bd6", "ex22"])
+def test_public_readers_run_one_decomposition(request, decomposition_counts, reader, chain):
+    spec = request.getfixturevalue(chain)
+    reader(spec.rate_matrix, spec.stationary)
+    if chain == "bd6":
+        # reversible: every number is read from one eigh
+        expected = {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}
+    elif reader is gap:
+        expected = {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}
+    else:
+        expected = {"eigh": 0, "eigvalsh": 0, "eigvals": 1, "expm": 0}
+    assert decomposition_counts == expected
 
 
 def test_chain_analysis_is_freed_with_its_spec():
