@@ -22,7 +22,6 @@ import numpy as np
 from ergorate.chain_core import build_birth_death, build_example21, build_example22
 from ergorate.errors import InsufficientData
 from ergorate.semigroup import (
-    Propagator,
     decay_curve,
     decay_curve_to_csv,
     default_time_grid,
@@ -59,9 +58,8 @@ def main() -> int:
     for name, spec in families():
         report = spectral_report(spec)
         grid = default_time_grid(report.true_decay_rate, points=args.points)
-        prop = Propagator(spec)
         for i in range(spec.n):
-            curve = decay_curve(spec, i, grid, propagator=prop)
+            curve = decay_curve(spec, i, grid)
             try:
                 fit = fit_rate(curve)
                 rate, mode = f"{fit.rate:.6f}", fit.mode

@@ -64,16 +64,24 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def _resolve_chain(args: argparse.Namespace) -> ChainSpec:
-    if args.input:
-        return load_chain_file(args.input, args.tol)
-    if args.family is None:
-        raise ErgorateError("provide --input FILE or --family NAME")
     # the family parameters that have flags; the rest need an --input file
     flags = {"pi": args.pi or None, "beta": args.beta}
     obj = {"family": args.family, **{key: v for key, v in flags.items() if v is not None}}
-    required = FAMILIES[args.family].required if args.family in FAMILIES else ()
-    if set(required) <= flags.keys() and not set(required) <= obj.keys():
-        raise ErgorateError(f"family {args.family} needs {' and '.join('--' + k for k in required)}")
+    if args.input:
+        ignored = [f"--{key}" for key, v in obj.items() if v is not None]
+        if ignored:
+            raise ErgorateError(f"--input takes no {', '.join(ignored)}")
+        return load_chain_file(args.input, args.tol)
+    if args.family is None:
+        raise ErgorateError("provide --input FILE or --family NAME")
+    family = FAMILIES.get(args.family)
+    if family is not None:
+        keys = {"family", *family.required, *family.optional}
+        unused = [f"--{key}" for key in obj if key not in keys]
+        if unused:
+            raise ErgorateError(f"family {args.family} takes no {', '.join(unused)}")
+        if set(family.required) <= flags.keys() and not set(family.required) <= obj.keys():
+            raise ErgorateError(f"family {args.family} needs {' and '.join('--' + k for k in family.required)}")
     if "pi" in obj:
         obj["pi"] = _parse_floats(obj["pi"], "--pi")
     return parse_chain_dict(obj, args.tol)
@@ -101,6 +109,11 @@ def _emit(text: str, output: str | None) -> None:
         raise ErgorateError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
+def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+    """Emit a JSON report with the call's tolerances as its last key."""
+    _emit(json.dumps({**payload, "tolerances": asdict(args.tol)}, indent=2), args.output)
+
+
 def _grid_for(spec: ChainSpec, args: argparse.Namespace):
     return default_time_grid(chain_analysis(spec).true_decay_rate, points=args.points, tmax=args.tmax)
 
@@ -117,29 +130,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "stationary": list(map(float, spec.pi)),
             "weight": list(map(float, spec.f)),
             "rate_exceeds_gap": report.true_decay_rate > report.gap + 1e-9,
-            "tolerances": asdict(args.tol),
         }
     )
-    _emit(json.dumps(bundle, indent=2), args.output)
+    _emit_json(bundle, args)
     return 0
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
     spec = _resolve_chain(args)
     report = spectral_report(spec)
-    _emit(
-        json.dumps(
-            {
-                "label": spec.label,
-                "gap": report.gap,
-                "rate_epsilon_max": report.rate_epsilon_max,
-                "true_decay_rate": report.true_decay_rate,
-                "reversible": report.reversible,
-                "tolerances": asdict(args.tol),
-            },
-            indent=2,
-        ),
-        args.output,
+    _emit_json(
+        {
+            "label": spec.label,
+            "gap": report.gap,
+            "rate_epsilon_max": report.rate_epsilon_max,
+            "true_decay_rate": report.true_decay_rate,
+            "reversible": report.reversible,
+        },
+        args,
     )
     return 0
 
@@ -162,8 +170,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         window = (vals[0], vals[1])
     fit = fit_rate(curve, window=window)
     payload = fit.to_dict()
-    payload.update({"label": spec.label, "state": args.state, "tolerances": asdict(args.tol)})
-    _emit(json.dumps(payload, indent=2), args.output)
+    payload.update({"label": spec.label, "state": args.state})
+    _emit_json(payload, args)
     return 0
 
 
@@ -171,20 +179,16 @@ def cmd_drift(args: argparse.Namespace) -> int:
     spec = _resolve_chain(args)
     report = drift_condition(spec, small_set=(0,))
     g = chain_analysis(spec).gap
-    _emit(
-        json.dumps(
-            {
-                "label": spec.label,
-                "c_max": report.c_max,
-                "b_min": report.b_min,
-                "small_set": list(report.small_set),
-                "gap_rate": g,
-                "drift_rate_below_gap": report.c_max < g,
-                "tolerances": asdict(args.tol),
-            },
-            indent=2,
-        ),
-        args.output,
+    _emit_json(
+        {
+            "label": spec.label,
+            "c_max": report.c_max,
+            "b_min": report.b_min,
+            "small_set": list(report.small_set),
+            "gap_rate": g,
+            "drift_rate_below_gap": report.c_max < g,
+        },
+        args,
     )
     return 0
 
@@ -304,9 +308,8 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
         worst = -np.inf
         for spec in chains:
             grid = default_time_grid(1.0, points=40, tmax=8.0)
-            prop = Propagator(spec)
             for i in range(spec.n):
-                c = decay_curve(spec, i, grid, propagator=prop)
+                c = decay_curve(spec, i, grid)
                 worst = max(worst, float(np.max(c.fnorms - c.envelope)))
         return worst <= 1e-9, f"worst excess {worst:.3e}"
 
@@ -323,6 +326,8 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
 
     @functools.cache  # built on first use, once per call
     def lemma_chain():
+        if n_lemma < 2:
+            raise ErgorateError(f"--n needs at least 2 states, got {n_lemma}")
         rng = np.random.default_rng(13)
         b = rng.uniform(0.5, 2.0, n_lemma - 1)
         d = rng.uniform(0.5, 2.0, n_lemma - 1)
@@ -358,11 +363,10 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
         rng = np.random.default_rng(19)
         worst = 0.0
         for spec in chains:
-            prop = Propagator(spec)
             for _ in range(5):
                 mu = rng.dirichlet(np.ones(spec.n))
                 t = float(rng.uniform(0.1, 3.0))
-                direct, via_dual = mu_ft_norm(mu, spec, t, propagator=prop)
+                direct, via_dual = mu_ft_norm(mu, spec, t)
                 worst = max(worst, abs(direct - via_dual))
         return worst <= 1e-10, f"worst |direct - dual| = {worst:.3e}"
 
@@ -370,11 +374,10 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
 
     def hfun_check():
         spec = lemma_chain()
-        prop = Propagator(spec)
         worst = 0.0
         for s in (0.25, 0.8):
             for i in range(spec.n):
-                _, direct, closed = h_function(spec, i, s, propagator=prop)
+                _, direct, closed = h_function(spec, i, s)
                 worst = max(worst, abs(direct - closed))
         return worst <= 1e-10, f"worst residual {worst:.3e}"
 
@@ -385,7 +388,7 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
         T = transform(spec)
         worst = 0.0
         for i in range(spec.n):
-            h, _, _ = h_function(spec, i, 0.5, propagator=T.prop)
+            h, _, _ = h_function(spec, i, 0.5)
             worst = max(worst, float(np.max(np.abs(T.pif(h.values)))))
         return worst <= 1e-12, f"worst residual {worst:.3e}"
 
@@ -450,7 +453,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(f"FIRST FAILURE: {first_failure}")
     text = "\n".join(lines)
     if args.output:
-        _emit(json.dumps({"results": results, "tolerances": asdict(args.tol)}, indent=2), args.output)
+        _emit_json({"results": results}, args)
     print(text)
     return 0 if first_failure is None else 1
 
@@ -464,15 +467,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     tol = Tolerances()
 
+    def add_tolerances(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--row-tol", type=float, default=tol.row_tol, help="override row-sum tolerance")
+        p.add_argument("--stat-tol", type=float, default=tol.stat_tol, help="override stationarity tolerance")
+        p.add_argument("--rev-tol", type=float, default=tol.rev_tol, help="override detailed-balance tolerance")
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--family", help=f"builtin family: {', '.join(FAMILIES)}")
         p.add_argument("--input", help="chain-spec JSON file")
         p.add_argument("--pi", help="comma-separated stationary law (example21)")
         p.add_argument("--beta", type=float, help="weight level on states >= 1 (example21)")
         p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--row-tol", type=float, default=tol.row_tol, help="override row-sum tolerance")
-        p.add_argument("--stat-tol", type=float, default=tol.stat_tol, help="override stationarity tolerance")
-        p.add_argument("--rev-tol", type=float, default=tol.rev_tol, help="override detailed-balance tolerance")
+        add_tolerances(p)
+
+    def add_curve(p: argparse.ArgumentParser, points: int) -> None:
+        p.add_argument("--state", type=int, default=0)
+        p.add_argument("--tmax", type=float, default=None)
+        p.add_argument("--points", type=int, default=points)
 
     p = sub.add_parser("analyze", help="full spectral report as JSON")
     add_common(p)
@@ -482,15 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decay", help="weighted-norm decay curve as CSV")
     add_common(p)
-    p.add_argument("--state", type=int, default=0)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=60)
+    add_curve(p, points=60)
 
     p = sub.add_parser("fit", help="exponential rate fit as JSON")
     add_common(p)
-    p.add_argument("--state", type=int, default=0)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=60)
+    add_curve(p, points=60)
     p.add_argument("--window", help="fit window t_min,t_max")
 
     p = sub.add_parser("drift", help="drift-condition coefficients as JSON")
@@ -498,9 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo decay estimates as CSV")
     add_common(p)
-    p.add_argument("--state", type=int, default=0)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=11)
+    add_curve(p, points=11)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=12345)
 
@@ -509,9 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="run only checks whose name contains this substring")
     p.add_argument("--n", type=int, default=6, help="state count for the lemma-check chains")
     p.add_argument("--output", help="also write JSON results here")
-    p.add_argument("--row-tol", type=float, default=tol.row_tol)
-    p.add_argument("--stat-tol", type=float, default=tol.stat_tol)
-    p.add_argument("--rev-tol", type=float, default=tol.rev_tol)
+    add_tolerances(p)
 
     return parser
 
@@ -525,6 +528,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "points", 1) < 1:
+            raise ErgorateError(f"--points needs at least 1 point, got {args.points}")
         args.tol = Tolerances(args.row_tol, args.stat_tol, args.rev_tol)
         # looked up per call: the cached parser must not pin the handlers
         return globals()[f"cmd_{args.command}"](args)

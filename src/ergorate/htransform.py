@@ -76,9 +76,9 @@ class TransformedSemigroup:
     nu-reversible exactly when the base chain is pi-reversible.
     """
 
-    def __init__(self, spec: ChainSpec, propagator: Propagator | None = None):
+    def __init__(self, spec: ChainSpec):
         self.base = spec
-        self.prop = propagator if propagator is not None else Propagator(spec)
+        self.prop = Propagator(spec)
         self.nu = spec.f**2 * spec.pi
         # projection matrix: row i is pi_j f_j / f_i
         self._pif_matrix = np.outer(1.0 / spec.f, spec.pi * spec.f)
@@ -112,9 +112,9 @@ class TransformedSemigroup:
         return float(np.dot(self.nu * np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
 
-def transform(spec: ChainSpec, propagator: Propagator | None = None) -> TransformedSemigroup:
+def transform(spec: ChainSpec) -> TransformedSemigroup:
     """Materialize the conjugated semigroup objects for a chain."""
-    return TransformedSemigroup(spec, propagator)
+    return TransformedSemigroup(spec)
 
 
 def check_lemma31(
@@ -185,9 +185,7 @@ def check_lemma33(T: TransformedSemigroup, t: float, tol: float = 1e-9) -> Lemma
     return LemmaReport("lemma33", {"t": t}, float(lhs), float(rhs), float(slack), slack <= tol)
 
 
-def h_function(
-    spec: ChainSpec, i: int, s: float, propagator: Propagator | None = None
-) -> tuple[HFunction, float, float | None]:
+def h_function(spec: ChainSpec, i: int, s: float) -> tuple[HFunction, float, float | None]:
     """The started deviation h_s(i, .) and its squared L2(nu) norm.
 
     Returns (h, norm_sq_direct, norm_sq_closed) where the closed form
@@ -200,7 +198,7 @@ def h_function(
         raise ErgorateError(f"start time must be positive, got {s}")
     if not 0 <= i < spec.n:
         raise ErgorateError(f"state {i} out of range for {spec.n} states")
-    prop = propagator if propagator is not None else Propagator(spec)
+    prop = Propagator(spec)
     P_s = prop.matrix(s)
     values = P_s[i, :] / (spec.f * spec.pi) - 1.0 / spec.f
     nu = spec.f**2 * spec.pi

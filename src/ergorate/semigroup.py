@@ -1,13 +1,14 @@
 """Semigroup evaluation, weighted-norm decay curves, and rate fitting.
 
-The transition semigroup P_t = exp(tQ) is realized two ways: a spectral
-route for reversible chains (eigendecomposition of the symmetrized
-generator; doubles as an independent cross-check and yields the
-deviation P_t - limit with *relative* accuracy at any magnitude, since
-the stationary mode is removed analytically) and a Pade route for
-general chains (deviation obtained by subtraction, so its noise floor is
-absolute, near 1e-14).  The eigensystem comes from the chain's memoized
-analysis (spectral.chain_analysis), so it is computed once per chain.
+The transition semigroup P_t = exp(tQ) has one propagator per chain, and
+the chain's detailed-balance verdict picks its route.  A reversible chain
+takes the spectral route: the eigen-expansion of the symmetrized
+generator, which yields the deviation P_t - limit with *relative*
+accuracy at any magnitude, since the stationary mode is removed
+analytically.  Any other chain takes the Pade route: the deviation is
+obtained by subtraction, so its noise floor is absolute, near 1e-14.
+The verdict and the expansion's factors come from the chain's memoized
+analysis (spectral.chain_analysis), so they are computed once per chain.
 
 Decay curves need only the start state's row of P_t.  The spectral route
 evaluates every grid time in one (G x n) @ (n x n) product.  The Pade
@@ -144,41 +145,27 @@ class RateFit:
 class Propagator:
     """Evaluator for P_t and its deviation from the stationary limit.
 
-    ``method`` is "spectral" (reversible chains only: an irreversible
-    one raises ErgorateError), "pade", or "auto" (spectral when the
-    chain passes the detailed-balance test).  The verdict and the
-    eigensystem are read from the chain's memoized analysis, so building
-    several propagators for one spec decomposes once.  ``matrix``, ``deviation`` and ``snapshot`` return full n x n
-    matrices; snapshots at distinct times are independent (and may be
-    taken concurrently).  Decay curves read only one row per time: on
-    the spectral route from one matrix product, on the Pade route by
-    uniformization with a dense exponential for long gaps (see the
-    module docstring).
+    The chain's detailed-balance verdict picks the route, recorded in
+    ``method``: "spectral" on a reversible chain, "pade" otherwise.  The
+    verdict and the spectral factors are read from the chain's memoized
+    analysis, so building a propagator does no O(n^2) work and every
+    propagator of one spec shares one decomposition.  ``matrix`` and
+    ``deviation`` return full n x n matrices, for the identity checks and
+    ``verify``; ``snapshot`` is ``matrix`` with dust clamped.  Decay
+    curves read only one row per time: on the spectral route from one
+    matrix product, on the Pade route by uniformization with a dense
+    exponential for long gaps (see the module docstring).
     """
 
-    def __init__(self, spec: ChainSpec, method: str = "auto"):
-        if method not in ("auto", "spectral", "pade"):
-            raise ErgorateError(f"unknown semigroup method {method!r}")
+    def __init__(self, spec: ChainSpec):
         self.spec = spec
         analysis = chain_analysis(spec)
-        if method == "auto":
-            method = "spectral" if analysis.reversible else "pade"
-        elif method == "spectral" and not analysis.reversible:
-            # the eigen-expansion would propagate the reversibilization, not Q
-            name = f"chain {spec.label!r}" if spec.label else "the chain"
-            raise ErgorateError(
-                f"{name} is irreversible (detailed-balance violation {analysis.violation:.3e}); "
-                "the spectral route needs a reversible chain, use 'pade' or 'auto'"
-            )
-        self.method = method
-        self._limit = np.outer(np.ones(spec.n), spec.pi)
-        if method == "spectral":
-            lam, V, d = analysis.eigensystem
-            self._lam = lam
-            self._psi = V / d[:, None]
-            self._phi = (V * d[:, None]).T
+        if analysis.reversible:
+            self.method = "spectral"
             self.noise_floor = _SPECTRAL_FLOOR
+            self._lam, self._psi, self._phi = analysis.expansion
         else:
+            self.method = "pade"
             self.noise_floor = _PADE_FLOOR
 
     def _check_time(self, t: float) -> None:
@@ -210,7 +197,7 @@ class Propagator:
             return (self._psi[:, 1:] * decay[None, :]) @ self._phi[1:, :]
         import scipy.linalg
 
-        return scipy.linalg.expm(t * self.spec.q) - self._limit
+        return scipy.linalg.expm(t * self.spec.q) - self.spec.pi
 
     def _row_deviations(self, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
         """Rows P_t(i, .) - pi for increasing ``times``, shape (G, n).
@@ -313,9 +300,9 @@ def _uniformized_rows(q: NDArray[np.float64], i: int, times: NDArray[np.float64]
     return rows
 
 
-def expm(spec: ChainSpec, t: float, method: str = "auto") -> SemigroupSnapshot:
+def expm(spec: ChainSpec, t: float) -> SemigroupSnapshot:
     """One-off snapshot of exp(tQ); see Propagator for repeated use."""
-    return Propagator(spec, method=method).snapshot(t)
+    return Propagator(spec).snapshot(t)
 
 
 def f_norm(nu: NDArray[np.float64], f: WeightFunction | NDArray[np.float64]) -> float:
@@ -338,12 +325,7 @@ def default_time_grid(rate_guess: float, points: int = 60, tmax: float | None = 
     return np.geomspace(0.01, T, points)
 
 
-def decay_curve(
-    spec: ChainSpec,
-    i: int,
-    grid: NDArray[np.float64],
-    propagator: Propagator | None = None,
-) -> DecayCurve:
+def decay_curve(spec: ChainSpec, i: int, grid: NDArray[np.float64]) -> DecayCurve:
     """Weighted-norm distance of P_t(i, .) to stationarity over a grid,
     with the theoretical exponential envelope alongside.
 
@@ -358,7 +340,7 @@ def decay_curve(
         raise ErgorateError("time grid must be strictly increasing and nonnegative")
     if not 0 <= i < spec.n:
         raise ErgorateError(f"state {i} out of range for {spec.n} states")
-    prop = propagator if propagator is not None else Propagator(spec)
+    prop = Propagator(spec)
     fn = np.abs(prop._row_deviations(i, grid)) @ spec.f
     g = chain_analysis(spec).gap
     C = ergodicity_constant(spec.stationary, spec.weight)[i]
@@ -509,9 +491,7 @@ def fit_rate(
     )
 
 
-def mu_ft_norm(
-    mu: NDArray[np.float64], spec: ChainSpec, t: float, propagator: Propagator | None = None
-) -> tuple[float, float]:
+def mu_ft_norm(mu: NDArray[np.float64], spec: ChainSpec, t: float) -> tuple[float, float]:
     """Weighted-norm distance of mu P_t to stationarity, two ways.
 
     Returns (direct, via_dual): the direct value || mu P_t - pi ||_f and
@@ -525,8 +505,7 @@ def mu_ft_norm(
         raise ErgorateError(f"mu must have shape ({spec.n},)")
     if np.any(mu < 0.0) or abs(mu.sum() - 1.0) > 1e-10:
         raise ErgorateError("mu must be a probability vector")
-    prop = propagator if propagator is not None else Propagator(spec)
-    direct = f_norm(mu @ prop.deviation(t), spec.weight)
+    direct = f_norm(mu @ Propagator(spec).deviation(t), spec.weight)
 
     import scipy.linalg
 

@@ -154,9 +154,13 @@ class ChainAnalysis:
     - ``reversible``/``violation``: the detailed-balance test at
       ``tol.rev_tol``, the spec's own.
     - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition(Q, pi).
-      Read by ``gap`` and ``spectrum`` on a reversible chain, and by the
-      spectral propagator, which refuses an irreversible chain: there the
-      eigensystem expands the reversibilization, not Q.
+      Read by ``gap``, ``spectrum`` and ``expansion`` on a reversible
+      chain only: on an irreversible one it expands the
+      reversibilization, not Q.
+    - ``expansion``: (lam, psi, phi) with psi = V / d and phi = (V d)^T,
+      so P_t = psi diag(exp(-t lam)) phi on a reversible chain.  The
+      spectral propagator reads it, so every propagator of one chain
+      shares these two n x n factors.
     - ``gap``: lam[1] of the pi-symmetrized generator.  Reversible: read
       from ``eigensystem``.  Irreversible: one values-only eigvalsh of the
       same matrix, since no eigenvector enters the gap and the Pade route
@@ -195,6 +199,13 @@ class ChainAnalysis:
         self,
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
         return symmetric_eigendecomposition(self.rate_matrix, self.stationary)
+
+    @cached_property
+    def expansion(
+        self,
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+        lam, V, d = self.eigensystem
+        return lam, V / d[:, None], (V * d[:, None]).T
 
     @cached_property
     def gap(self) -> float:

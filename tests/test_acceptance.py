@@ -110,9 +110,8 @@ def test_criterion_2_constants_closed_form_and_envelope_dominates():
     # the curve never crosses the envelope, any state, any grid point
     grid = default_time_grid(1.0)
     for spec in resampling_battery():
-        prop = Propagator(spec)
         for i in range(spec.n):
-            curve = decay_curve(spec, i, grid, propagator=prop)
+            curve = decay_curve(spec, i, grid)
             assert np.all(curve.fnorms <= curve.envelope), f"n={spec.n} state {i}"
 
 
@@ -167,14 +166,13 @@ def test_criterion_5_random_reversible_fit_matches_gap_and_bound_holds():
         t1 = 2.0 / g if delta <= 0 else min(max(12.0 / delta, 2.0 / g), 600.0 / g)
         t2 = t1 + 8.0 / g
         i_star = int(np.argmax(np.abs(V[:, 1] / d)))
-        prop = Propagator(spec)
-        curve = decay_curve(spec, i_star, np.linspace(t1, t2, 40), propagator=prop)
+        curve = decay_curve(spec, i_star, np.linspace(t1, t2, 40))
         fit = fit_rate(curve, window=(t1, t2), mode="loglinear")
         assert abs(fit.rate - g) / g <= 1e-4, f"n={spec.n}: rate {fit.rate} vs gap {g}"
 
         grid = default_time_grid(g)
         for i in range(spec.n):
-            c = decay_curve(spec, i, grid, propagator=prop)
+            c = decay_curve(spec, i, grid)
             assert np.all(c.fnorms <= c.envelope + 1e-9), f"n={spec.n} state {i}"
 
 
@@ -237,9 +235,8 @@ def test_criterion_7_irreversible_rate_ordering_and_bound():
         tdr = true_decay_rate(spec.rate_matrix, spec.stationary)
         assert tdr >= g - 1e-9, f"n={n}: true rate {tdr} below gap {g}"
         grid = default_time_grid(g)
-        prop = Propagator(spec)
         for i in range(n):
-            c = decay_curve(spec, i, grid, propagator=prop)
+            c = decay_curve(spec, i, grid)
             assert np.all(c.fnorms <= c.envelope + 1e-9), f"n={n} state {i}"
 
 

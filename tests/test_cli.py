@@ -354,6 +354,46 @@ def test_unreadable_input_is_an_input_error(capsys, tmp_path, command, kind):
     assert str(path) in blob["message"]
 
 
+def input_error(code, out, err) -> str:
+    assert code == 2
+    assert out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "ErgorateError"
+    return blob["message"]
+
+
+@pytest.mark.parametrize("command", ["decay", "fit", "simulate"])
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_points_below_one_is_an_input_error(capsys, command, points):
+    argv = [command, "--family", "example22", "--points", points]
+    assert "--points" in input_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_lemma_size_below_two_is_an_input_error(capsys, n):
+    assert "--n" in input_error(*run(capsys, "verify", "--n", n))
+    # the lemma chain is built on first use: checks that read none still run
+    code, out, _ = run(capsys, "verify", "--n", n, "--only", "gap")
+    assert code == 0
+    assert "FIRST FAILURE" not in out
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--family", "example22", "--beta", "3"], "--beta"),
+        (["--family", "example22", "--pi", "0.5,0.5"], "--pi"),
+        (["--family", "birth_death", "--pi", "0.5,0.5", "--beta", "3"], "--pi, --beta"),
+        (["--input", "{path}", "--family", "example21", "--beta", "9"], "--family, --beta"),
+        (["--input", "{path}", "--pi", "0.5,0.5"], "--pi"),
+    ],
+)
+def test_a_chain_flag_the_command_ignores_is_an_input_error(capsys, tmp_path, flags, named):
+    path = write_chain(tmp_path, "ex22.json", {"family": "example22"})
+    argv = [flag.format(path=path) for flag in flags]
+    assert named in input_error(*run(capsys, "gap", *argv))
+
+
 # --------------------------------------------------------------- overrides
 
 def test_rev_tol_override_flips_verdict(capsys):

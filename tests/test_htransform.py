@@ -71,12 +71,6 @@ def test_projection_matrix_is_idempotent(bd6):
     assert np.max(np.abs(T.pif(T.pif(g)) - T.pif(g))) <= 1e-14
 
 
-def test_transform_shares_supplied_propagator(bd6):
-    prop = Propagator(bd6)
-    T = transform(bd6, prop)
-    assert T.prop is prop
-
-
 # ---------------------------------------------------- structural identities
 
 def test_lemma31_reversible_chain(bd6):
@@ -183,10 +177,9 @@ def test_lemma33_irreversible_allowed(ex22):
 # -------------------------------------------------------- started deviation
 
 def test_h_function_closed_form(bd6):
-    prop = Propagator(bd6)
     for i in (0, 2, 5):
         for s in (0.2, 0.7, 2.0):
-            _, direct, closed = h_function(bd6, i, s, prop)
+            _, direct, closed = h_function(bd6, i, s)
             assert closed is not None
             assert abs(direct - closed) <= 1e-10
 
@@ -234,7 +227,7 @@ def test_started_deviation_drives_curve_bound(bd6):
     mass = float(np.dot(bd6.pi, bd6.f**2))
     for i in range(bd6.n):
         for s, t in ((0.3, 3.0), (0.5, 1.0), (1.0, 4.0)):
-            _, norm_sq, _ = h_function(bd6, i, s, prop)
+            _, norm_sq, _ = h_function(bd6, i, s)
             curve_val = f_norm(prop.deviation(t)[i, :], bd6.weight)
             bound = np.sqrt(mass) * np.exp(-g * (t - s)) * np.sqrt(norm_sq)
             assert curve_val <= bound + 1e-12
@@ -242,10 +235,9 @@ def test_started_deviation_drives_curve_bound(bd6):
 
 def test_started_deviation_contracts_at_gap_rate(bd6):
     g = gap(bd6.rate_matrix, bd6.stationary)
-    prop = Propagator(bd6)
     for s, t in ((0.3, 3.0), (0.2, 6.0)):
-        _, ns_s, _ = h_function(bd6, 2, s, prop)
-        _, ns_t, _ = h_function(bd6, 2, t, prop)
+        _, ns_s, _ = h_function(bd6, 2, s)
+        _, ns_t, _ = h_function(bd6, 2, t)
         assert np.sqrt(ns_t) <= np.exp(-g * (t - s)) * np.sqrt(ns_s) + 1e-12
 
 

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,16 +57,17 @@ def test_expm_time_zero_is_identity(ex22):
 
 def test_expm_two_state_closed_form():
     spec = two_state()
-    for method in ("spectral", "pade"):
-        P = expm(spec, 1.0, method=method).P
+    # the chain's own (spectral) route, and the Pade exponential directly
+    for P in (expm(spec, 1.0).P, scipy.linalg.expm(spec.q)):
         assert P[0, 0] == pytest.approx(0.5 + 0.5 * np.exp(-2.0), abs=1e-13)
         assert P[0, 1] == pytest.approx(0.5 - 0.5 * np.exp(-2.0), abs=1e-13)
 
 
 def test_expm_methods_agree(ex21):
     for t in (0.1, 1.0, 5.0):
-        Ps = expm(ex21, t, method="spectral").P
-        Pp = expm(ex21, t, method="pade").P
+        snap = expm(ex21, t)
+        assert snap.method == "spectral"
+        Ps, Pp = snap.P, scipy.linalg.expm(t * ex21.q)
         assert np.max(np.abs(Ps - Pp)) <= 1e-12
 
 
@@ -96,11 +98,6 @@ def test_propagator_rejects_huge_time(ex21):
         Propagator(ex21).matrix(1e13)
 
 
-def test_propagator_rejects_unknown_method(ex21):
-    with pytest.raises(ErgorateError, match="method"):
-        Propagator(ex21, method="magic")
-
-
 def test_chapman_kolmogorov(ex22):
     prop = Propagator(ex22)
     lhs = prop.matrix(1.3)
@@ -123,7 +120,8 @@ def test_deviation_plus_limit_is_matrix(ex22):
 
 def test_spectral_deviation_keeps_relative_accuracy(ex21):
     # analytic zero-mode removal: entries stay accurate far below 1e-16
-    prop = Propagator(ex21, method="spectral")
+    prop = Propagator(ex21)
+    assert prop.method == "spectral"
     dev = prop.deviation(80.0)
     expected = np.exp(-80.0) * (np.eye(3) - np.outer(np.ones(3), ex21.pi))
     assert np.max(np.abs(dev - expected)) <= 1e-12 * np.exp(-80.0)
@@ -470,26 +468,37 @@ def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
 @pytest.mark.parametrize("method", ["spectral", "pade"])
 def test_row_curve_matches_full_deviation(reversible, n, method):
     spec = dense_chain(reversible, n)
+    prop = Propagator(spec)
     if method == "spectral" and not reversible:
-        # the eigen-expansion would propagate the reversibilization, not Q
-        with pytest.raises(ErgorateError, match="irreversible"):
-            Propagator(spec, method=method)
+        # the verdict picks the route: the eigen-expansion, which would
+        # propagate the reversibilization, never runs on an irreversible chain
+        assert prop.method == "pade"
         return
-    prop = Propagator(spec, method=method)
     grid = default_time_grid(chain_analysis(spec).gap)
-    curve = decay_curve(spec, 2, grid, propagator=prop)
-    full = [f_norm(prop.deviation(t)[2], spec.weight) for t in grid]
-    assert curve.method == method
-    assert np.max(np.abs(curve.fnorms - full)) <= 1e-12 * spec.f.sum()
+    if method == prop.method:
+        curve = decay_curve(spec, 2, grid)
+        assert curve.method == method
+        fnorms = curve.fnorms
+        full = [f_norm(prop.deviation(t)[2], spec.weight) for t in grid]
+    else:
+        # the Pade path on a reversible chain, called directly
+        fnorms = np.abs(semigroup._uniformized_rows(spec.q, 2, grid) - spec.pi) @ spec.f
+        full = [f_norm(scipy.linalg.expm(t * spec.q)[2] - spec.pi, spec.weight) for t in grid]
+    assert np.max(np.abs(fnorms - full)) <= 1e-12 * spec.f.sum()
 
 
-def test_forced_spectral_route_refuses_an_irreversible_chain(ex22):
-    import scipy.linalg
+def test_irreversible_chain_propagates_q_itself(ex22):
+    prop = Propagator(ex22)
+    assert prop.method == "pade"
+    assert np.max(np.abs(prop.matrix(1.0) - scipy.linalg.expm(ex22.q))) <= 1e-14
 
-    with pytest.raises(ErgorateError, match="chain 'example22' is irreversible"):
-        Propagator(ex22, method="spectral")
-    P = Propagator(ex22).matrix(1.0)
-    assert np.max(np.abs(P - scipy.linalg.expm(ex22.q))) <= 1e-14
+
+def test_propagators_of_one_chain_share_the_expansion(decomposition_counts):
+    spec = dense_chain(True, ABOVE)
+    first, second = Propagator(spec), Propagator(spec)
+    # the factors are built once per chain, not once per propagator
+    assert first._psi is second._psi and first._phi is second._phi
+    assert decomposition_counts["eigh"] == 1
 
 
 @pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
@@ -498,25 +507,25 @@ def test_pade_rows_match_spectral_rows(n):
     # relative accuracy, so they are the oracle for the Pade route's rows
     spec = dense_chain(True, n)
     grid = default_time_grid(chain_analysis(spec).gap)
-    pade = Propagator(spec, method="pade")
-    spectral = Propagator(spec, method="spectral")
+    spectral = Propagator(spec)
+    assert spectral.method == "spectral"
     for i in (0, n - 1):
-        err = np.abs(pade._row_deviations(i, grid) - spectral._row_deviations(i, grid))
+        pade = semigroup._uniformized_rows(spec.q, i, grid) - spec.pi
+        err = np.abs(pade - spectral._row_deviations(i, grid))
         assert np.max(err) <= 1e-14
 
 
 @pytest.mark.parametrize("reversible", [True, False])
 def test_pade_curve_on_a_grid_from_time_zero(reversible):
     spec = dense_chain(reversible, 7)
-    prop = Propagator(spec, method="pade")
     grid = np.linspace(0.0, 10.0 / chain_analysis(spec).gap, 40)
-    rows = prop._row_deviations(2, grid)
+    rows = semigroup._uniformized_rows(spec.q, 2, grid) - spec.pi
     unit = np.zeros(spec.n)
     unit[2] = 1.0
     assert np.array_equal(rows[0], unit - spec.pi)
-    full = np.array([prop.deviation(t)[2] for t in grid])
+    full = np.array([scipy.linalg.expm(t * spec.q)[2] for t in grid]) - spec.pi
     assert np.max(np.abs(rows - full)) <= 1e-14
-    curve = decay_curve(spec, 2, grid, propagator=prop)
+    curve = decay_curve(spec, 2, grid)
     assert curve.fnorms[0] == pytest.approx(f_norm(unit - spec.pi, spec.weight), rel=1e-15)
 
 
@@ -573,9 +582,7 @@ def test_stiff_chain_takes_coarse_gaps_densely(segment_sizes, decomposition_coun
 def test_reversible_chain_forced_to_pade_steps_the_row(segment_sizes, decomposition_counts):
     spec = dense_chain(True, ABOVE)
     grid = default_time_grid(chain_analysis(spec).gap)
-    curve = decay_curve(spec, 0, grid, propagator=Propagator(spec, method="pade"))
-    assert curve.method == "pade"
-    assert curve.noise_floor == 1e-14
+    semigroup._uniformized_rows(spec.q, 0, grid)
     # the default grid lies within one term budget: one segment
     assert segment_sizes == [grid.size]
     assert decomposition_counts["expm"] == 0
@@ -587,7 +594,7 @@ def test_row_stepping_takes_long_steps_densely(decomposition_counts):
     spec = dense_chain(False, ABOVE)
     grid = np.geomspace(0.01, 1e6, 12)
     prop = Propagator(spec)
-    curve = decay_curve(spec, 0, grid, propagator=prop)
+    curve = decay_curve(spec, 0, grid)
     assert decomposition_counts["expm"] > 0
     full = [f_norm(prop.deviation(t)[0], spec.weight) for t in grid]
     assert np.max(np.abs(curve.fnorms - full)) <= 1e-12 * spec.f.sum()
