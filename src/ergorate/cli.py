@@ -46,6 +46,7 @@ from .errors import ErgorateError
 from .htransform import check_lemma31, check_lemma32, check_lemma33, h_function, transform
 from .montecarlo import empirical_fnorm, empirical_to_csv, sample_paths
 from .semigroup import (
+    MAX_ENUMERATED_STATES,
     Propagator,
     decay_curve,
     decay_curve_to_csv,
@@ -206,6 +207,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # verification battery
 
+# label.n<size> of each chain _battery_chains builds, in order: the names of the
+# per-chain checks, known before any chain is built
+_BATTERY_NAMES = ("example21.n3", "example21.n7", "example22.n3", "birth_death.n6")
+
+
 def _battery_chains(tol: Tolerances) -> list[ChainSpec]:
     rng = np.random.default_rng(90210)
     p = rng.uniform(0.5, 1.5, 7)
@@ -218,50 +224,57 @@ def _battery_chains(tol: Tolerances) -> list[ChainSpec]:
 
 
 def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
-    chains = _battery_chains(tol)
-    checks: list[tuple[str, object]] = []
+    """The battery in print order as (name, run, n_range): ``run()`` computes its inputs
+    when called and returns (passed, detail); ``n_range`` bounds the ``n_lemma`` it can take."""
+    chains = functools.cache(lambda: _battery_chains(tol))  # built on first use, once per call
+    checks: list[tuple[str, object, tuple]] = []
 
-    def residual_check(name, value, tol):
-        checks.append((name, lambda v=value, t=tol: (v <= t, f"residual {v:.3e} (tol {t:.1e})")))
+    def check(name, n_range=(-np.inf, np.inf)):
+        """Register the decorated ``run()`` as check ``name``."""
+        def register(run):
+            checks.append((name, run, n_range))
+            return run
+        return register
 
-    for spec in chains:
-        r, bound = stationary_residual(spec.rate_matrix, spec.pi, tol)
-        residual_check(f"stationary.{spec.label}.n{spec.n}", r, bound)
+    def per_chain(prefix):
+        """Register the decorated ``run(spec)`` as check ``prefix.<chain>`` for each battery chain."""
+        def register(run):
+            for k, name in enumerate(_BATTERY_NAMES):
+                check(f"{prefix}.{name}")(lambda k=k: run(chains()[k]))
+            return run
+        return register
 
-    for spec in chains:
+    def residual(value, bound):
+        return value <= bound, f"residual {value:.3e} (tol {bound:.1e})"
+
+    @per_chain("stationary")
+    def stationarity(spec):
+        return residual(*stationary_residual(spec.rate_matrix, spec.pi, tol))
+
+    @per_chain("reversibility")
+    def reversibility(spec):
         rev, viol = chain_analysis(spec).reversible, chain_analysis(spec).violation
-        expected = FAMILIES[spec.label].reversible
-        checks.append(
-            (
-                f"reversibility.{spec.label}.n{spec.n}",
-                lambda rv=rev, ex=expected, v=viol: (rv == ex, f"verdict {rv}, violation {v:.3e}"),
-            )
-        )
+        return rev == FAMILIES[spec.label].reversible, f"verdict {rev}, violation {viol:.3e}"
 
-    for spec in chains:
+    @per_chain("dual.involution")
+    def involution(spec):
         Qhat = dual(spec.rate_matrix, spec.stationary)
         Qhh = dual(Qhat, spec.stationary)
-        r = float(np.max(np.abs(Qhh.q - spec.q))) / spec.rate_matrix.max_rate
-        residual_check(f"dual.involution.{spec.label}.n{spec.n}", r, 1e-12)
+        return residual(float(np.max(np.abs(Qhh.q - spec.q))) / spec.rate_matrix.max_rate, 1e-12)
 
-    for spec in chains:
-        Qbar = reversibilize(spec.rate_matrix, spec.stationary)
-        ok, viol = is_reversible(Qbar, spec.stationary, tol)
-        checks.append(
-            (
-                f"reversibilize.{spec.label}.n{spec.n}",
-                lambda o=ok, v=viol: (o, f"violation {v:.3e}"),
-            )
-        )
+    @per_chain("reversibilize")
+    def reversibilized(spec):
+        ok, viol = is_reversible(reversibilize(spec.rate_matrix, spec.stationary), spec.stationary, tol)
+        return ok, f"violation {viol:.3e}"
 
-    for spec in (chains[0], chains[1]):
-        residual_check(f"gap.example21.n{spec.n}", abs(chain_analysis(spec).gap - 1.0), 1e-9)
-    ex22 = chains[2]
-    residual_check("gap.example22", abs(chain_analysis(ex22).gap - 1.0), 1e-9)
-    residual_check("truerate.example22", abs(chain_analysis(ex22).true_decay_rate - 1.25), 1e-9)
+    check("gap.example21.n3")(lambda: residual(abs(chain_analysis(chains()[0]).gap - 1.0), 1e-9))
+    check("gap.example21.n7")(lambda: residual(abs(chain_analysis(chains()[1]).gap - 1.0), 1e-9))
+    check("gap.example22")(lambda: residual(abs(chain_analysis(chains()[2]).gap - 1.0), 1e-9))
+    check("truerate.example22")(lambda: residual(abs(chain_analysis(chains()[2]).true_decay_rate - 1.25), 1e-9))
 
-    def dirichlet_check():
-        spec = chains[1]
+    @check("dirichlet.example21")
+    def dirichlet():
+        spec = chains()[1]
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(20):
@@ -272,12 +285,11 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
             worst = max(worst, abs(quad - var))
         return worst <= 1e-10, f"worst residual {worst:.3e}"
 
-    checks.append(("dirichlet.example21", dirichlet_check))
-
-    def chapman_check():
+    @check("semigroup.chapman")
+    def chapman():
         worst = 0.0
         rng = np.random.default_rng(11)
-        for spec in chains:
+        for spec in chains():
             prop = Propagator(spec)
             for _ in range(3):
                 t, s = rng.uniform(0.0, 5.0, 2)
@@ -285,56 +297,52 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
                 worst = max(worst, r)
         return worst <= 1e-8, f"worst residual {worst:.3e}"
 
-    checks.append(("semigroup.chapman", chapman_check))
-
-    def stationarity_check():
+    @check("semigroup.stationarity")
+    def stationarity_in_time():
         worst = 0.0
-        for spec in chains:
+        for spec in chains():
             prop = Propagator(spec)
             for t in (0.3, 1.7, 4.0):
                 worst = max(worst, float(np.max(np.abs(spec.pi @ prop.matrix(t) - spec.pi))))
         return worst <= 1e-10, f"worst residual {worst:.3e}"
 
-    checks.append(("semigroup.stationarity", stationarity_check))
-
-    def limit_check():
+    @check("semigroup.limit.example22")
+    def limit():
+        ex22 = chains()[2]
         P = Propagator(ex22).matrix(40.0)
         r = float(np.max(np.abs(P - np.outer(np.ones(3), ex22.pi))))
         return r <= 1e-9, f"residual {r:.3e}"
 
-    checks.append(("semigroup.limit.example22", limit_check))
-
-    def envelope_check():
+    @check("envelope.all_families")
+    def envelope():
         worst = -np.inf
-        for spec in chains:
+        for spec in chains():
             grid = default_time_grid(1.0, points=40, tmax=8.0)
             for i in range(spec.n):
                 c = decay_curve(spec, i, grid)
                 worst = max(worst, float(np.max(c.fnorms - c.envelope)))
         return worst <= 1e-9, f"worst excess {worst:.3e}"
 
-    checks.append(("envelope.all_families", envelope_check))
-
-    def fit_check():
-        spec = chains[0]
+    @check("fit.example21")
+    def fit():
         grid = np.linspace(0.5, 8.0, 120)
-        c = decay_curve(spec, 0, grid)
+        c = decay_curve(chains()[0], 0, grid)
         fit = fit_rate(c, window=(1.0, 7.0))
         return abs(fit.rate - 1.0) <= 1e-6, f"rate {fit.rate:.9f}"
 
-    checks.append(("fit.example21", fit_check))
-
     @functools.cache  # built on first use, once per call
     def lemma_chain():
-        if n_lemma < 2:
-            raise ErgorateError(f"--n needs at least 2 states, got {n_lemma}")
         rng = np.random.default_rng(13)
         b = rng.uniform(0.5, 2.0, n_lemma - 1)
         d = rng.uniform(0.5, 2.0, n_lemma - 1)
         fw = rng.uniform(1.0, 3.0, n_lemma)
         return build_birth_death(b, d, fw, tol)
 
-    def lemma31_check():
+    lemma_n = (2, np.inf)  # a birth-death chain has two states at least
+    signs_n = (2, MAX_ENUMERATED_STATES)  # the exact operator norms enumerate 2^(n-1) sign vectors
+
+    @check("lemma31", lemma_n)
+    def lemma31():
         spec = lemma_chain()
         T = transform(spec)
         rng = np.random.default_rng(17)
@@ -345,24 +353,21 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
                 worst = max(worst, rep.residual)
         return worst <= 1e-9, f"worst residual {worst:.3e}"
 
-    checks.append(("lemma31", lemma31_check))
-
-    def lemma32_check():
+    @check("lemma32", signs_n)
+    def lemma32():
         rep = check_lemma32(transform(lemma_chain()), 0.5)
         return rep.passed, f"|lhs-rhs| = {rep.residual:.3e}"
 
-    checks.append(("lemma32", lemma32_check))
-
-    def lemma33_check():
+    @check("lemma33", signs_n)
+    def lemma33():
         rep = check_lemma33(transform(lemma_chain()), 0.5)
         return rep.passed, f"slack {rep.residual:.3e} (lhs {rep.lhs:.6f} rhs {rep.rhs:.6f})"
 
-    checks.append(("lemma33", lemma33_check))
-
-    def lemma34_check():
+    @check("lemma34.mu_ft_norm")
+    def lemma34():
         rng = np.random.default_rng(19)
         worst = 0.0
-        for spec in chains:
+        for spec in chains():
             for _ in range(5):
                 mu = rng.dirichlet(np.ones(spec.n))
                 t = float(rng.uniform(0.1, 3.0))
@@ -370,9 +375,8 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
                 worst = max(worst, abs(direct - via_dual))
         return worst <= 1e-10, f"worst |direct - dual| = {worst:.3e}"
 
-    checks.append(("lemma34.mu_ft_norm", lemma34_check))
-
-    def hfun_check():
+    @check("hfunction.closed_form", lemma_n)
+    def hfun_closed_form():
         spec = lemma_chain()
         worst = 0.0
         for s in (0.25, 0.8):
@@ -381,9 +385,8 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
                 worst = max(worst, abs(direct - closed))
         return worst <= 1e-10, f"worst residual {worst:.3e}"
 
-    checks.append(("hfunction.closed_form", hfun_check))
-
-    def hfun_meanzero_check():
+    @check("hfunction.meanzero", lemma_n)
+    def hfun_meanzero():
         spec = lemma_chain()
         T = transform(spec)
         worst = 0.0
@@ -392,70 +395,57 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
             worst = max(worst, float(np.max(np.abs(T.pif(h.values)))))
         return worst <= 1e-12, f"worst residual {worst:.3e}"
 
-    checks.append(("hfunction.meanzero", hfun_meanzero_check))
-
-    def mc_check():
-        spec = chains[0]
+    @check("montecarlo.holding_times")
+    def holding_times():
+        spec = chains()[0]
         times = np.array([0.0, 0.5, 1.5])
         ens = sample_paths(spec, 0, times, 4000, seed=4242)
-        ok = True
-        detail = []
+        zs = {}
         for s0 in range(spec.n):
             count = ens.holding_count[s0]
             if count == 0:
                 continue
             mean = ens.holding_time_sum[s0] / count
             expect = 1.0 / (-spec.q[s0, s0])
-            z = abs(mean - expect) / (expect / np.sqrt(count))
-            detail.append(f"state {s0} z={z:.2f}")
-            ok = ok and z <= 4.0
-        return ok, "; ".join(detail)
-
-    checks.append(("montecarlo.holding_times", mc_check))
+            zs[s0] = abs(mean - expect) / (expect / np.sqrt(count))
+        detail = "; ".join(f"state {s0} z={z:.2f}" for s0, z in zs.items())
+        return all(z <= 4.0 for z in zs.values()), detail
 
     if input_spec is not None:
-        r, bound = stationary_residual(input_spec.rate_matrix, input_spec.pi, tol)
-        residual_check("input.stationary", r, bound)
+        check("input.stationary")(lambda: stationarity(input_spec))
         if input_spec.label in FAMILIES:
-            rev, viol = chain_analysis(input_spec).reversible, chain_analysis(input_spec).violation
-            expected = FAMILIES[input_spec.label].reversible
-            checks.append(
-                (
-                    f"input.family_contract.{input_spec.label}",
-                    lambda rv=rev, ex=expected, v=viol: (
-                        rv == ex,
-                        f"label promises reversible={ex}, measured {rv} (violation {v:.3e})",
-                    ),
-                )
-            )
+            @check(f"input.family_contract.{input_spec.label}")
+            def input_contract():
+                rev, viol = chain_analysis(input_spec).reversible, chain_analysis(input_spec).violation
+                ex = FAMILIES[input_spec.label].reversible
+                return rev == ex, f"label promises reversible={ex}, measured {rev} (violation {viol:.3e})"
     return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     input_spec = load_chain_file(args.input, args.tol) if args.input else None
-    checks = _verify_checks(args.n, input_spec, args.tol)
-    if args.only:
-        checks = [(name, fn) for name, fn in checks if args.only in name]
-        if not checks:
-            raise ErgorateError(f"--only {args.only!r} matches no checks")
-    lines = []
+    checks = [c for c in _verify_checks(args.n, input_spec, args.tol) if args.only in c[0]]
+    if not checks:
+        raise ErgorateError(f"--only {args.only!r} matches no checks")
+    # --n must suit every selected check before any of them runs
+    for name, _, (least, most) in checks:
+        if args.n < least:
+            raise ErgorateError(f"--n needs at least {least} states, got {args.n}")
+        if args.n > most:
+            raise ErgorateError(f"--n needs at most {most} states for {name}, got {args.n}")
     results = []
-    first_failure = None
-    for name, fn in checks:
-        passed, detail = fn()
-        results.append({"check": name, "pass": passed, "detail": detail})
-        lines.append(f"{'PASS' if passed else 'FAIL'}  {name:<38s} {detail}")
-        if not passed and first_failure is None:
-            first_failure = name
-    n_pass = sum(r["pass"] for r in results)
-    lines.append(f"{n_pass}/{len(results)} checks passed")
-    if first_failure is not None:
-        lines.append(f"FIRST FAILURE: {first_failure}")
-    text = "\n".join(lines)
+    for name, run, _ in checks:
+        passed, detail = run()
+        results.append({"check": name, "pass": bool(passed), "detail": detail})
+    lines = [f"{'PASS' if r['pass'] else 'FAIL'}  {r['check']:<38s} {r['detail']}" for r in results]
+    failures = [r["check"] for r in results if not r["pass"]]
+    lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    if failures:
+        lines.append(f"FIRST FAILURE: {failures[0]}")
     if args.output:
         _emit_json({"results": results}, args)
-    print(text)
-    return 0 if first_failure is None else 1
+    print("\n".join(lines))
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,8 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--input", help="also verify this chain-spec JSON file")
-    p.add_argument("--only", help="run only checks whose name contains this substring")
-    p.add_argument("--n", type=int, default=6, help="state count for the lemma-check chains")
+    p.add_argument("--only", default="", help="run only checks whose name contains this substring")
+    p.add_argument(
+        "--n",
+        type=int,
+        default=6,
+        help="state count for the lemma-check chain: at least 2, and at most "
+        f"{MAX_ENUMERATED_STATES} when lemma32 or lemma33 runs",
+    )
     p.add_argument("--output", help="also write JSON results here")
     add_tolerances(p)
 

@@ -516,6 +516,9 @@ def mu_ft_norm(mu: NDArray[np.float64], spec: ChainSpec, t: float) -> tuple[floa
     return direct, via_dual
 
 
+# The exact operator norms enumerate 2^(n-1) sign vectors; larger n is refused.
+MAX_ENUMERATED_STATES = 20
+
 # Free sign coordinates enumerated as one table; the rest are looped over.
 # At 12 the table's image is 4096 x n doubles (640 kB at n = 20).
 _LOW_SIGNS = 12
@@ -533,17 +536,17 @@ def _vertex_max(A: NDArray[np.float64], nu: NDArray[np.float64], image) -> float
     For a convex image function the objective is convex in g, so its
     max over the cube |g| <= 1 sits at a vertex; enumerating sign vectors
     (2^(n-1) after the symmetry g -> -g, which fixes g_0 = +1) is exact.
-    Capped at n = 20.  The low free coordinates' products ``Y`` are
-    formed once; each pattern of the high ones adds one row vector to
-    them.
+    Capped at n = MAX_ENUMERATED_STATES.  The low free coordinates'
+    products ``Y`` are formed once; each pattern of the high ones adds
+    one row vector to them.
     """
     A = np.asarray(A, dtype=float)
     nu = np.asarray(nu, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or nu.shape != (n,):
         raise ErgorateError("need a square operator and a matching measure vector")
-    if n > 20:
-        raise TooLarge(f"sign enumeration capped at n = 20, got {n}")
+    if n > MAX_ENUMERATED_STATES:
+        raise TooLarge(f"sign enumeration capped at n = {MAX_ENUMERATED_STATES}, got {n}")
     low = min(n - 1, _LOW_SIGNS)
     Y = _sign_table(low) @ A[:, 1 : 1 + low].T
     shifts = A[:, 0] + _sign_table(n - 1 - low) @ A[:, 1 + low :].T

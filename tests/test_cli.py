@@ -294,6 +294,61 @@ def test_verify_json_output(capsys, tmp_path):
     assert all(r["pass"] for r in blob["results"])
 
 
+BATTERY = [
+    *(
+        f"{kind}.{chain}"
+        for kind in ("stationary", "reversibility", "dual.involution", "reversibilize")
+        for chain in ("example21.n3", "example21.n7", "example22.n3", "birth_death.n6")
+    ),
+    "gap.example21.n3",
+    "gap.example21.n7",
+    "gap.example22",
+    "truerate.example22",
+    "dirichlet.example21",
+    "semigroup.chapman",
+    "semigroup.stationarity",
+    "semigroup.limit.example22",
+    "envelope.all_families",
+    "fit.example21",
+    "lemma31",
+    "lemma32",
+    "lemma33",
+    "lemma34.mu_ft_norm",
+    "hfunction.closed_form",
+    "hfunction.meanzero",
+    "montecarlo.holding_times",
+]
+
+
+def test_verify_json_output_of_the_full_battery(capsys, tmp_path):
+    # the Monte-Carlo check's verdict was a numpy bool, which json cannot write
+    dest = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--output", str(dest))
+    assert code == 0
+    results = json.loads(dest.read_text())["results"]
+    assert [r["check"] for r in results] == BATTERY
+    assert all(r["pass"] is True for r in results)
+    assert out.splitlines()[-1] == f"{len(BATTERY)}/{len(BATTERY)} checks passed"
+
+
+def test_battery_names_match_the_battery_chains():
+    chains = cli._battery_chains(chain_core.Tolerances())
+    assert [f"{spec.label}.n{spec.n}" for spec in chains] == list(cli._BATTERY_NAMES)
+
+
+def test_verify_only_computes_only_what_it_prints(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed for a check that does not run")
+
+    for name in ("dual", "reversibilize", "stationary_residual"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, _ = run(capsys, "verify", "--only", "lemma31")
+    assert code == 0
+    first, tally = out.splitlines()
+    assert first.startswith("PASS  lemma31 ")
+    assert tally == "1/1 checks passed"
+
+
 # -------------------------------------------------------------- bad inputs
 
 def test_malformed_json_input(capsys, tmp_path):
@@ -376,6 +431,29 @@ def test_verify_lemma_size_below_two_is_an_input_error(capsys, n):
     code, out, _ = run(capsys, "verify", "--n", n, "--only", "gap")
     assert code == 0
     assert "FIRST FAILURE" not in out
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [("1", "--n needs at least 2 states, got 1"), ("21", "--n needs at most 20 states for lemma32, got 21")],
+)
+def test_verify_lemma_size_is_checked_before_any_check_runs(capsys, monkeypatch, n, message):
+    calls = []
+
+    def counted(*args, _orig=cli.stationary_residual):
+        calls.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(cli, "stationary_residual", counted)
+    assert input_error(*run(capsys, "verify", "--n", n)) == message
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["--n", "24", "--only", "lemma31"], ["--n", "21", "--only", "hfunction"]])
+def test_verify_lemma_size_above_the_enumeration_cap_runs_the_other_lemma_checks(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert "FAIL" not in out
 
 
 @pytest.mark.parametrize(
