@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -85,9 +86,10 @@ class RateMatrix:
     n: int
     q: NDArray[np.float64]
 
-    @property
+    @cached_property
     def max_rate(self) -> float:
-        """max |q_ij|, the natural scale for residual tolerances."""
+        """max |q_ij|, the natural scale for residual tolerances; computed
+        on first read (q is read-only)."""
         return float(np.max(np.abs(self.q)))
 
 
@@ -534,14 +536,24 @@ def _reject_constant(token: str) -> None:
     raise ErgorateError(f"non-finite JSON number {token!r} not accepted")
 
 
+def _reject_unknown_keys(obj: dict, accepted: tuple[str, ...]) -> None:
+    unknown = [key for key in obj if key not in accepted]
+    if unknown:
+        raise ErgorateError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in chain spec;"
+            f" accepted: {', '.join(map(repr, accepted))}"
+        )
+
+
 def parse_chain_dict(obj: dict, tol: Tolerances = Tolerances()) -> ChainSpec:
     """Build a ChainSpec carrying ``tol`` from a parsed chain-spec JSON object.
 
     Two shapes are accepted: an explicit matrix
     ``{"label", "Q", "f", "pi"?}`` or a builtin family
-    ``{"family": <a FAMILIES key>, ...params}``.  A value that is not
-    numeric raises ErgorateError naming its field.  A ``"label": null``
-    counts as no label: "" for a matrix, the builder's for a family.
+    ``{"family": <a FAMILIES key>, "label"?, ...params}``.  Any other key
+    raises ErgorateError naming it, as does a value that is not numeric.
+    A ``"label": null`` counts as no label: "" for a matrix, the
+    builder's for a family.
     """
     if not isinstance(obj, dict):
         raise ErgorateError("chain spec must be a JSON object")
@@ -551,12 +563,14 @@ def parse_chain_dict(obj: dict, tol: Tolerances = Tolerances()) -> ChainSpec:
         family = FAMILIES.get(name) if isinstance(name, str) else None
         if family is None:
             raise ErgorateError(f"unknown family {name!r}")
+        _reject_unknown_keys(obj, ("family", "label", *family.required, *family.optional))
         if any(key not in obj for key in family.required):
             raise ErgorateError(f"family {name} requires {' and '.join(map(repr, family.required))}")
         params = [obj[key] for key in family.required] + [obj.get(key) for key in family.optional]
         spec = family.build(*params, tol=tol)
         return spec if label is None else replace(spec, label=str(label))
 
+    _reject_unknown_keys(obj, ("label", "Q", "f", "pi"))
     if "Q" not in obj or "f" not in obj:
         raise ErgorateError("chain spec requires 'Q' and 'f' (or a 'family')")
     Q = validate(obj["Q"], tol=tol)

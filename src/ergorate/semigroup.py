@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -120,7 +120,7 @@ class RateFit:
 
     ``intercept`` is the fitted log-line value at t = 0.  ``residual``
     is the max absolute deviation of log(fnorm) from the line over the
-    fitted points (all window points in log-linear mode, the selected
+    fitted points (all usable points in log-linear mode, the selected
     peak family in peak mode).
     """
 
@@ -132,14 +132,7 @@ class RateFit:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "window": list(self.window),
-            "residual": self.residual,
-            "mode": self.mode,
-            "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
 class Propagator:
@@ -361,6 +354,14 @@ def _local_maxima(y: NDArray[np.float64]) -> NDArray[np.int_]:
     return np.nonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:]))[0] + 1
 
 
+def _detrended_peaks(t: NDArray[np.float64], logy: NDArray[np.float64]) -> NDArray[np.int_]:
+    """Local maxima of a log-curve less its least-squares line: a damped
+    oscillation's raw log-curve can be monotone, and its peaks only show
+    once the mean decay trend is removed."""
+    slope = np.polyfit(t, logy, 1)[0]
+    return _local_maxima(logy - slope * t)
+
+
 def _select_peak_family(
     t: NDArray[np.float64], logy: NDArray[np.float64], pk: NDArray[np.int_]
 ) -> NDArray[np.int_]:
@@ -409,11 +410,13 @@ def fit_rate(
         "auto" selects peak-envelope mode when the windowed curve is
         non-monotone (has a 3-point local maximum), else log-linear.
 
-    In log-linear mode the rate is the negated slope of the least-squares
-    line through (t, log fnorm) over all window points.  In peak mode
-    the line goes through the dominant single-phase family of local
-    maxima of the detrended curve, which for an exponentially damped
-    oscillation lies exactly on a log-line with the true decay rate.
+    The usable points are the window's grid points above the noise
+    floor.  In log-linear mode the rate is the negated slope of the
+    least-squares line through all of them in (t, log fnorm).  In peak
+    mode the line goes through the dominant single-phase family of local
+    maxima of the detrended curve (a default window with fewer than 3 is
+    widened to every point above the floor), which for an exponentially
+    damped oscillation lies on a log-line with the true decay rate.
 
     Raises
     ------
@@ -437,57 +440,38 @@ def fit_rate(
     if not t_hi > t_lo:
         raise ErgorateError(f"empty window {window}")
 
-    def _masked(lo: float, hi: float, clip_floor: bool):
-        m = (times >= lo) & (times <= hi)
-        if clip_floor:
-            m &= fn > floor
-        return m
-
-    mask = _masked(t_lo, t_hi, clip_floor=defaulted)
-    if not defaulted and np.any(fn[_masked(t_lo, t_hi, False)] <= floor):
+    in_window = (times >= t_lo) & (times <= t_hi)
+    above = fn > floor
+    if not defaulted and np.any(in_window & ~above):
         raise NoiseFloor(f"window [{t_lo}, {t_hi}] touches the noise floor {floor:.1e}")
-    if int(mask.sum()) < 5:
-        raise InsufficientData(f"only {int(mask.sum())} usable grid points in window")
+    usable = in_window & above
+    if int(usable.sum()) < 5:
+        raise InsufficientData(f"only {int(usable.sum())} usable grid points in window")
 
-    t = times[mask]
-    logy = np.log(fn[mask])
-
+    t, logy = times[usable], np.log(fn[usable])
     if mode == "auto":
-        mode = "peaks" if _local_maxima(fn[mask]).size > 0 else "loglinear"
-
-    if mode == "loglinear":
-        co = np.polyfit(t, logy, 1)
-        fitted_t, fitted_y = t, logy
-    else:
-        # A damped oscillation's raw log-curve can be monotone; peaks
-        # only become visible after removing the mean decay trend.
-        def _detrended_peaks(tt, yy):
-            slope = np.polyfit(tt, yy, 1)[0]
-            return _local_maxima(yy - slope * tt)
-
+        mode = "peaks" if _local_maxima(fn[usable]).size > 0 else "loglinear"
+    if mode == "peaks":
         pk = _detrended_peaks(t, logy)
         if pk.size < 3 and defaulted:
-            # widen to everything above the noise floor and retry
-            mask = fn > floor
-            if int(mask.sum()) >= 5:
-                t = times[mask]
-                logy = np.log(fn[mask])
-                t_lo, t_hi = float(t[0]), float(t[-1])
-                pk = _detrended_peaks(t, logy)
+            # widen to every point above the noise floor, a superset of the usable ones
+            t, logy = times[above], np.log(fn[above])
+            t_lo, t_hi = float(t[0]), float(t[-1])
+            pk = _detrended_peaks(t, logy)
         if pk.size < 3:
             raise InsufficientData(f"peak mode needs >= 3 detrended peaks, found {pk.size}")
-        sel = _select_peak_family(t, logy, pk)
-        co = np.polyfit(t[sel], logy[sel], 1)
-        fitted_t, fitted_y = t[sel], logy[sel]
+        family = _select_peak_family(t, logy, pk)
+        t, logy = t[family], logy[family]
 
-    residual = float(np.max(np.abs(fitted_y - np.polyval(co, fitted_t))))
+    co = np.polyfit(t, logy, 1)
+    residual = float(np.max(np.abs(logy - np.polyval(co, t))))
     return RateFit(
         rate=float(-co[0]),
         intercept=float(co[1]),
         window=(t_lo, t_hi),
         residual=residual,
         mode=mode,
-        n_points=int(fitted_t.size),
+        n_points=int(t.size),
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,14 @@ def test_rate_matrix_is_read_only():
     Q = validate(CYCLE_Q)
     with pytest.raises(ValueError):
         Q.q[0, 0] = 5.0
+
+
+def test_max_rate_is_computed_once(monkeypatch):
+    Q = validate(CYCLE_Q)
+    assert Q.max_rate == 1.0
+    # later reads come from the instance, not from another scan of q
+    monkeypatch.setattr(np, "abs", None)
+    assert Q.max_rate == 1.0
 
 
 # --------------------------------------------------------------- stationary
@@ -402,6 +411,62 @@ def test_distribution_rejects_mass_defect():
         distribution([0.5, 0.4])
 
 
+def negative_rule(i: int, j: int) -> float:
+    return -1.0 if (i, j) == (1, 0) else 1.0
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: distribution([[0.5, 0.5]]), ErgorateError, "distribution must be a vector, got shape (1, 2)"),
+        (lambda: distribution([0.5, np.nan]), ErgorateError, "distribution contains non-finite entries"),
+        (lambda: distribution([1.5, -0.5]), ErgorateError, "distribution must be strictly positive, p[1] = -0.5"),
+        (lambda: weight_function([[1.0, 2.0]]), ErgorateError, "weight must be a vector, got shape (1, 2)"),
+        (lambda: weight_function([1.0, np.inf]), ErgorateError, "weight contains non-finite entries"),
+        (
+            lambda: chain_spec(validate(CYCLE_Q), weight_function([1.0, 1.0])),
+            ErgorateError,
+            "weight length 2 does not match state count 3",
+        ),
+        (
+            lambda: chain_spec(validate(CYCLE_Q), weight_function([1.0] * 3), pi=distribution([0.5, 0.5])),
+            ErgorateError,
+            "stationary length 2 does not match state count 3",
+        ),
+        (lambda: build_birth_death([1.0, 1.0], [1.0]), ErgorateError, "birth and death must be equal-length vectors"),
+        (lambda: build_birth_death([], []), ErgorateError, "need at least 2 states"),
+        (lambda: truncate(negative_rule, 3), NegativeRate, "rule produced negative rate at (1,0)"),
+        (lambda: parse_chain_dict([1, 2]), ErgorateError, "chain spec must be a JSON object"),
+        (
+            lambda: parse_chain_dict({"family": "example21", "pi": [0.5, 0.5]}),
+            ErgorateError,
+            "family example21 requires 'pi' and 'beta'",
+        ),
+    ],
+    ids=[
+        "distribution-matrix", "distribution-nan", "distribution-negative", "weight-matrix", "weight-inf",
+        "chain_spec-weight-length", "chain_spec-pi-length", "birth_death-lengths", "birth_death-one-state",
+        "truncate-negative", "parse-non-object", "parse-missing-key",
+    ],
+)
+def test_input_checks_name_the_fault(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_stationary_rejects_a_non_positive_law():
+    # LU on the 40-state birth-death chain whose death rates span 1e2
+    # returns a law with non-positive entries
+    n = 40
+    q = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    q[idx, idx + 1] = 1.0
+    q[idx + 1, idx] = np.geomspace(1.0, 1e2, n - 1)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    with pytest.raises(SingularSystem, match="^stationary solve produced non-positive entries$"):
+        stationary(validate(q))
+
+
 # --------------------------------------------------------------- truncation
 
 def geometric_resample_rule(i: int, j: int) -> float:
@@ -471,6 +536,29 @@ def test_parse_chain_dict_families():
 def test_parse_chain_dict_unknown_family():
     with pytest.raises(ErgorateError, match="unknown family"):
         parse_chain_dict({"family": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "obj, unknown, accepted",
+    [
+        ({"family": "example22", "F": [1, 2, 3]}, "'F'", "'family', 'label', 'f'"),
+        (
+            {"family": "birth_death", "birth": [1, 1], "death": [1, 1], "weights": [1, 2, 3]},
+            "'weights'",
+            "'family', 'label', 'birth', 'death', 'f'",
+        ),
+        (
+            {"label": "x", "Q": [[-1.0, 1.0], [1.0, -1.0]], "f": [1, 1], "pie": [0.5, 0.5], "g": 1},
+            "'pie', 'g'",
+            "'label', 'Q', 'f', 'pi'",
+        ),
+    ],
+    ids=["example22", "birth_death", "matrix"],
+)
+def test_parse_chain_dict_rejects_unknown_keys(obj, unknown, accepted):
+    message = f"unknown key(s) {unknown} in chain spec; accepted: {accepted}"
+    with pytest.raises(ErgorateError, match=f"^{re.escape(message)}$"):
+        parse_chain_dict(obj)
 
 
 def test_parse_chain_dict_missing_keys():

@@ -395,6 +395,25 @@ def test_non_numeric_chain_file_is_an_input_error(capsys, tmp_path, obj, field):
     assert field in blob["message"]
 
 
+@pytest.mark.parametrize(
+    "obj, unknown",
+    [
+        ({"family": "example22", "F": [1, 2, 3]}, "'F'"),
+        ({"family": "birth_death", "birth": [1, 1], "death": [1, 1], "weights": [1, 2, 3]}, "'weights'"),
+        ({"Q": [[-1, 1], [1, -1]], "f": [1, 1], "pie": [0.5, 0.5]}, "'pie'"),
+    ],
+    ids=["example22", "birth_death", "matrix"],
+)
+def test_unknown_chain_file_key_is_an_input_error(capsys, tmp_path, obj, unknown):
+    code, out, err = run(capsys, "gap", "--input", write_chain(tmp_path, "c.json", obj))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    blob = json.loads(err)
+    assert blob["error"] == "ErgorateError"
+    assert blob["message"].startswith(f"unknown key(s) {unknown} in chain spec; accepted: ")
+
+
 @pytest.mark.parametrize("command", ["gap", "verify"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_input_is_an_input_error(capsys, tmp_path, command, kind):

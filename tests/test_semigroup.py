@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,6 +300,56 @@ def test_fit_rate_rejects_bad_mode(ex21):
 def test_fit_rate_to_dict():
     d = fit_rate(synthetic_peaked_curve()).to_dict()
     assert set(d) == {"rate", "intercept", "window", "residual", "mode", "n_points"}
+
+
+def test_fit_rate_peaks_widen_a_short_default_window():
+    # envelope rate 4 puts the default window at [0.5, 1.5], one period
+    # of the modulation: too few peaks, so the fit widens to every point
+    # above the floor and finds the 0.8 family there
+    curve = replace(synthetic_peaked_curve(), envelope_rate=4.0)
+    fit = fit_rate(curve, mode="peaks")
+    assert fit.window == (0.0, 30.0)
+    assert abs(fit.rate - 0.8) <= 1e-12
+    assert fit.n_points == 29
+
+
+def test_fit_rate_peaks_widened_still_without_peaks():
+    # log fnorm is strictly convex, so no detrended point set has a peak
+    times = np.arange(0.0, 30.0 + 1e-9, 0.1)
+    fnorms = np.exp(-times + 0.02 * times**2)
+    curve = replace(synthetic_peaked_curve(), fnorms=fnorms, envelope=fnorms, envelope_rate=1.0)
+    with pytest.raises(InsufficientData, match=r"^peak mode needs >= 3 detrended peaks, found 0$"):
+        fit_rate(curve, mode="peaks")
+
+
+def test_fit_rate_needs_a_positive_envelope_rate_without_a_window():
+    curve = replace(synthetic_peaked_curve(), envelope_rate=0.0)
+    with pytest.raises(ErgorateError, match=r"^curve has no positive envelope rate; pass a window$"):
+        fit_rate(curve)
+    assert abs(fit_rate(curve, window=(5.0, 25.0)).rate - 0.8) <= 1e-12
+
+
+def test_select_peak_family_keeps_all_peaks_without_two_spacings():
+    t = np.arange(0.0, 10.0 + 1e-9, 0.1)
+    pk = np.array([10, 40])
+    assert np.array_equal(semigroup._select_peak_family(t, -0.5 * t, pk), pk)
+
+
+def test_select_peak_family_keeps_all_peaks_without_a_period():
+    t = np.arange(0.0, 10.0 + 1e-9, 0.1)
+    pk = np.array([5, 12, 30, 33, 60, 90])  # spacings 0.7, 1.8, 0.3, 2.7, 3.0
+    assert np.array_equal(semigroup._select_peak_family(t, -0.5 * t, pk), pk)
+
+
+def test_select_peak_family_keeps_all_peaks_when_the_period_family_is_short():
+    # spacings 1.0, 1.2, ..., 2.2 repeat within tolerance at shift 1, but
+    # the phase drifts: only the anchor peak at t = 0 and the one at 11.2
+    # lie within 0.3 of the median period's phase
+    t = np.arange(0.0, 12.0 + 1e-9, 0.1)
+    logy = -0.5 * t
+    logy[0] += 1.0
+    pk = np.array([0, 10, 22, 36, 52, 70, 90, 112])
+    assert np.array_equal(semigroup._select_peak_family(t, logy, pk), pk)
 
 
 # ------------------------------------------------------------- mu_ft_norm
