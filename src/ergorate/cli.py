@@ -5,15 +5,18 @@ Subcommands: analyze (full spectral report), gap (rates only), decay
 (drift-condition coefficients), verify (the verification battery), and
 simulate (Monte-Carlo decay estimates as CSV).
 
+A chain subcommand ``X`` is ``cmd_X(spec, args)``, which maps the resolved
+chain to its report, a dict (written as JSON) or CSV text; ``main`` resolves
+the chain, looks the handler up by name and emits the report with ``_emit``,
+the one writer of report bytes.  ``--family`` flags become the dict a chain
+file holds; one Tolerances from the tolerance flags builds every chain of a
+call and is echoed in its JSON.
+
 Exit codes: 0 success, 1 verification failure, 2 input error.  Errors
 are emitted to stderr as one-line JSON objects {"error", "message"}.
-Each call builds every chain with one Tolerances from the tolerance flags
-and echoes it; ``--family`` flags become the dict a chain file holds.
 
 The argument parser is built once per process, on the first ``main()``
-call, and each call looks its handler ``cmd_<command>`` up by name.
-Building the parser takes about 2 ms, so an in-process caller pays it
-once, not on every call.
+call; it takes about 2 ms, so an in-process caller pays it once.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .semigroup import (
     fit_rate,
     mu_ft_norm,
 )
-from .spectral import chain_analysis, drift_condition, spectral_report
+from .spectral import _zero_tol, chain_analysis, drift_condition, spectral_report
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -88,120 +91,92 @@ def _resolve_chain(args: argparse.Namespace) -> ChainSpec:
     return parse_chain_dict(obj, args.tol)
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write the report to stdout or atomically to a file."""
-    if output is None or output == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(report: dict | str, args: argparse.Namespace, stream=None) -> None:
+    """Write a report, a dict as JSON with the call's tolerances as its last key, or
+    text, ending in one newline.  It goes to ``stream`` if given, else atomically to
+    the ``--output`` file, else (also for ``-``) to stdout: a file gets stdout's bytes."""
+    if isinstance(report, dict):
+        report = json.dumps({**report, "tolerances": asdict(args.tol)}, indent=2)
+    text = report if report.endswith("\n") else report + "\n"
+    if stream or args.output in (None, "-"):
+        (stream or sys.stdout).write(text)
         return
-    directory = os.path.dirname(os.path.abspath(output))
+    directory = os.path.dirname(os.path.abspath(args.output))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergorate-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            os.replace(tmp, output)
+            os.replace(tmp, args.output)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise ErgorateError(f"cannot write {output}: {exc.strerror or exc}") from exc
-
-
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    """Emit a JSON report with the call's tolerances as its last key."""
-    _emit(json.dumps({**payload, "tolerances": asdict(args.tol)}, indent=2), args.output)
+        raise ErgorateError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 def _grid_for(spec: ChainSpec, args: argparse.Namespace):
     return default_time_grid(chain_analysis(spec).true_decay_rate, points=args.points, tmax=args.tmax)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    spec = _resolve_chain(args)
+def cmd_analyze(spec: ChainSpec, args: argparse.Namespace) -> dict:
     report = spectral_report(spec)
-    bundle = report.to_dict()
-    bundle.update(
-        {
-            "label": spec.label,
-            "n": spec.n,
-            "reversibility_violation": chain_analysis(spec).violation,
-            "stationary": list(map(float, spec.pi)),
-            "weight": list(map(float, spec.f)),
-            "rate_exceeds_gap": report.true_decay_rate > report.gap + 1e-9,
-        }
-    )
-    _emit_json(bundle, args)
-    return 0
+    return {
+        **report.to_dict(),
+        "label": spec.label,
+        "n": spec.n,
+        "reversibility_violation": chain_analysis(spec).violation,
+        "stationary": list(map(float, spec.pi)),
+        "weight": list(map(float, spec.f)),
+        # measured against the zero-mode tolerance, which scales with Q: Q -> cQ keeps the verdict
+        "rate_exceeds_gap": report.true_decay_rate - report.gap > _zero_tol(spec.rate_matrix),
+    }
 
 
-def cmd_gap(args: argparse.Namespace) -> int:
-    spec = _resolve_chain(args)
+def cmd_gap(spec: ChainSpec, args: argparse.Namespace) -> dict:
     report = spectral_report(spec)
-    _emit_json(
-        {
-            "label": spec.label,
-            "gap": report.gap,
-            "rate_epsilon_max": report.rate_epsilon_max,
-            "true_decay_rate": report.true_decay_rate,
-            "reversible": report.reversible,
-        },
-        args,
-    )
-    return 0
+    return {
+        "label": spec.label,
+        "gap": report.gap,
+        "rate_epsilon_max": report.rate_epsilon_max,
+        "true_decay_rate": report.true_decay_rate,
+        "reversible": report.reversible,
+    }
 
 
-def cmd_decay(args: argparse.Namespace) -> int:
-    spec = _resolve_chain(args)
-    curve = decay_curve(spec, args.state, _grid_for(spec, args))
-    _emit(decay_curve_to_csv(curve), args.output)
-    return 0
+def cmd_decay(spec: ChainSpec, args: argparse.Namespace) -> str:
+    return decay_curve_to_csv(decay_curve(spec, args.state, _grid_for(spec, args)))
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    spec = _resolve_chain(args)
+def cmd_fit(spec: ChainSpec, args: argparse.Namespace) -> dict:
     curve = decay_curve(spec, args.state, _grid_for(spec, args))
     window = None
     if args.window:
-        vals = _parse_floats(args.window, "--window")
-        if len(vals) != 2:
+        window = tuple(_parse_floats(args.window, "--window"))
+        if len(window) != 2:
             raise ErgorateError("--window expects two numbers t_min,t_max")
-        window = (vals[0], vals[1])
-    fit = fit_rate(curve, window=window)
-    payload = fit.to_dict()
-    payload.update({"label": spec.label, "state": args.state})
-    _emit_json(payload, args)
-    return 0
+    return {**fit_rate(curve, window=window).to_dict(), "label": spec.label, "state": args.state}
 
 
-def cmd_drift(args: argparse.Namespace) -> int:
-    spec = _resolve_chain(args)
+def cmd_drift(spec: ChainSpec, args: argparse.Namespace) -> dict:
     report = drift_condition(spec, small_set=(0,))
     g = chain_analysis(spec).gap
-    _emit_json(
-        {
-            "label": spec.label,
-            "c_max": report.c_max,
-            "b_min": report.b_min,
-            "small_set": list(report.small_set),
-            "gap_rate": g,
-            "drift_rate_below_gap": report.c_max < g,
-        },
-        args,
-    )
-    return 0
+    return {
+        "label": spec.label,
+        "c_max": report.c_max,
+        "b_min": report.b_min,
+        "small_set": list(report.small_set),
+        "gap_rate": g,
+        "drift_rate_below_gap": report.c_max < g,
+    }
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _resolve_chain(args)
+def cmd_simulate(spec: ChainSpec, args: argparse.Namespace) -> str:
     tmax = args.tmax if args.tmax is not None else 10.0 / chain_analysis(spec).true_decay_rate
     times = np.linspace(0.0, tmax, args.points)
     ensemble = sample_paths(spec, args.state, times, args.paths, args.seed)
-    emp = empirical_fnorm(ensemble, spec.stationary, spec.weight)
-    _emit(empirical_to_csv(emp), args.output)
-    return 0
+    return empirical_to_csv(empirical_fnorm(ensemble, spec.stationary, spec.weight))
 
 
 # ----------------------------------------------------------------------
@@ -443,8 +418,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if failures:
         lines.append(f"FIRST FAILURE: {failures[0]}")
     if args.output:
-        _emit_json({"results": results}, args)
-    print("\n".join(lines))
+        _emit({"results": results}, args)
+    # under --output - stdout holds the JSON alone, so it parses; the text goes to stderr
+    _emit("\n".join(lines), args, sys.stderr if args.output == "-" else sys.stdout)
     return 1 if failures else 0
 
 
@@ -528,7 +504,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ErgorateError(f"--points needs at least 1 point, got {args.points}")
         args.tol = Tolerances(args.row_tol, args.stat_tol, args.rev_tol)
         # looked up per call: the cached parser must not pin the handlers
-        return globals()[f"cmd_{args.command}"](args)
+        handler = globals()[f"cmd_{args.command}"]
+        if args.command == "verify":
+            return handler(args)
+        _emit(handler(_resolve_chain(args), args), args)
+        return 0
     except ErgorateError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

@@ -375,8 +375,6 @@ def _select_peak_family(
     is detected, all peaks are kept.
     """
     s = np.diff(t[pk])
-    if len(s) < 2:
-        return pk
     dt_grid = float(np.median(np.diff(t)))
     tol_s = 2.0 * dt_grid + 0.02 * float(np.mean(s))
     c0 = -np.polyfit(t[pk], logy[pk], 1)[0]

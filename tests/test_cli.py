@@ -84,6 +84,23 @@ def test_analyze_resampling_family(capsys):
     assert blob["weight"] == pytest.approx([1.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-6, 1.0, 1e6, 1e10])
+@pytest.mark.parametrize("chain, exceeds", [("cycle7", False), ("example22", True)])
+def test_rate_exceeds_gap_keeps_its_verdict_under_scaling(capsys, tmp_path, chain, exceeds, scale):
+    # a directed unit cycle is irreversible but normal, so its decay rate is
+    # its gap; example22's rate 1.25 exceeds its gap 1.  Q -> cQ scales both.
+    if chain == "cycle7":
+        q = np.roll(np.eye(7), 1, axis=1) - np.eye(7)
+    else:
+        q = chain_core.build_example22().q
+    path = write_chain(tmp_path, "c.json", {"label": chain, "Q": (scale * q).tolist(), "f": [1.0] * len(q)})
+    code, out, _ = run(capsys, "analyze", "--input", path)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["reversible"] is False
+    assert blob["rate_exceeds_gap"] is exceeds
+
+
 def test_analyze_requires_chain(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 2
@@ -292,6 +309,17 @@ def test_verify_json_output(capsys, tmp_path):
     assert "checks passed" in out  # text still printed
     blob = json.loads(dest.read_text())
     assert all(r["pass"] for r in blob["results"])
+
+
+def test_verify_output_dash_puts_the_json_alone_on_stdout(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--only", "gap", "--output", "-")
+    assert code == 0
+    assert len(json.loads(out)["results"]) == 3
+    assert err.splitlines()[-1] == "3/3 checks passed"
+    # a file gets the same bytes
+    dest = tmp_path / "report.json"
+    assert run(capsys, "verify", "--only", "gap", "--output", str(dest))[0] == 0
+    assert dest.read_bytes() == out.encode()
 
 
 BATTERY = [
@@ -523,7 +551,7 @@ def test_overrides_do_not_outlive_the_call(capsys, monkeypatch):
     assert blob["reversible"] is False
     assert blob["tolerances"] == dict(zip(("row_tol", "stat_tol", "rev_tol"), defaults))
 
-    def broken(args):
+    def broken(spec, args):  # a chain handler takes the resolved chain and the flags
         raise RuntimeError("command failed")
 
     monkeypatch.setattr(cli, "cmd_gap", broken)
@@ -630,6 +658,20 @@ def test_output_dash_means_stdout(capsys):
     code, out, _ = run(capsys, "gap", "--family", "example22", "--output", "-")
     assert code == 0
     assert json.loads(out)["label"] == "example22"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["gap"], ["decay"], ["fit"], ["drift"], ["simulate", "--paths", "200"]],
+    ids=lambda argv: argv[0],
+)
+def test_output_file_holds_the_bytes_stdout_would(capsys, tmp_path, argv):
+    code, stdout, _ = run(capsys, *argv, *EX21_ARGS)
+    assert code == 0
+    dest = tmp_path / "report"
+    code, out, _ = run(capsys, *argv, *EX21_ARGS, "--output", str(dest))
+    assert (code, out) == (0, "")
+    assert dest.read_bytes() == stdout.encode()
 
 
 # ----------------------------------------------------------- console script
