@@ -36,9 +36,9 @@ def main() -> int:
     print(f"{'N':>4s} {'gap':>20s} {'retained mass':>20s} {'|gap - mass|':>14s} {'1 - gap':>12s}")
     n = 2
     while n <= args.max_n:
-        out = truncate(geometric_resample_rule, n, pi_rule=geometric_mass)
-        g = gap(out.spec.rate_matrix, out.spec.stationary)
-        mass = out.retained_mass
+        spec = truncate(geometric_resample_rule, n)
+        g = gap(spec.rate_matrix, spec.stationary)
+        mass = float(sum(geometric_mass(i) for i in range(n)))
         print(f"{n:>4d} {g:>20.16f} {mass:>20.16f} {abs(g - mass):>14.2e} {1.0 - g:>12.3e}")
         n = n + 3 if n < 20 else n + 10
     return 0

@@ -17,7 +17,6 @@ from .chain_core import (
     Distribution,
     RateMatrix,
     Tolerances,
-    TruncatedChain,
     WeightFunction,
     build_birth_death,
     build_example21,

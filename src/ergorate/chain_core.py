@@ -9,7 +9,10 @@ throughout the package.  This module owns the domain types, the
 invariant checks, the stationary solve, the time-reversal dual, the
 additive symmetrization, builders for the two closed-form example
 families plus birth-death chains and their registry, the Tolerances the
-checks read, and a reflecting finite truncation of countable chains.
+checks read, and a reflecting finite truncation of countable chains,
+returned as a ChainSpec labelled "truncated" like every other builder's.
+build_birth_death and truncate leave the diagonal to
+validate(..., repair=True), as dual and reversibilize do.
 """
 
 from __future__ import annotations
@@ -147,21 +150,6 @@ class ChainSpec:
     @property
     def f(self) -> NDArray[np.float64]:
         return self.weight.f
-
-
-@dataclass(frozen=True)
-class TruncatedChain:
-    """A finite window onto a countable chain.
-
-    ``retained_mass`` is sum_{i<N} pi_i of the *untruncated* stationary
-    law when the caller supplied it, else None.  It quantifies how much
-    of the infinite chain the window captures; the reflecting policy
-    redirects the lost outflow into the diagonal so the window is again
-    conservative.
-    """
-
-    spec: ChainSpec
-    retained_mass: float | None = None
 
 
 def validate(
@@ -458,7 +446,6 @@ def build_birth_death(
     idx = np.arange(n - 1)
     q[idx, idx + 1] = b
     q[idx + 1, idx] = d
-    np.fill_diagonal(q, -q.sum(axis=1))
 
     p = np.empty(n)
     p[0] = 1.0
@@ -467,7 +454,7 @@ def build_birth_death(
     p /= p.sum()
 
     f = weight_function(np.ones(n) if f_raw is None else f_raw)
-    Q = validate(q, tol=tol)
+    Q = validate(q, repair=True)
     return chain_spec(Q, f, pi=distribution(p), label="birth_death", tol=tol)
 
 
@@ -492,44 +479,21 @@ def truncate(
     rate_rule: Callable[[int, int], float],
     N: int,
     weight_rule: Callable[[int], float] | None = None,
-    pi_rule: Callable[[int], float] | None = None,
-    label: str = "truncated",
-) -> TruncatedChain:
-    """Reflecting truncation of a countable chain to the window {0,...,N-1}.
+) -> ChainSpec:
+    """Reflecting truncation of a countable chain to the window {0,...,N-1},
+    as a ChainSpec labelled "truncated".
 
-    ``rate_rule(i, j)`` gives the off-diagonal rate of the countable
-    chain.  Rates leaving the window are dropped and the diagonal is
-    recomputed as the negative row sum, so the truncated generator is
-    conservative (the lost outflow is reflected into longer holding
-    times).  When ``pi_rule`` gives the untruncated stationary weights,
-    the retained mass sum_{i<N} pi_i is reported as a truncation-error
-    diagnostic.
-
-    Raises
-    ------
-    Reducible
-        The truncation disconnects the window.
+    ``rate_rule(i, j)`` gives the off-diagonal rates and ``weight_rule(i)``
+    the weight (default all ones).  Rates leaving the window are dropped;
+    validate sets the diagonal to the negative row sum, so the lost
+    outflow is reflected into longer holding times, and raises for a
+    negative or non-numeric rate or a disconnected window.
     """
     if N < 2:
         raise Reducible(f"window must contain at least 2 states, got {N}")
-    q = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                rate = float(rate_rule(i, j))
-                if rate < 0.0:
-                    raise NegativeRate(f"rule produced negative rate at ({i},{j})")
-                q[i, j] = rate
-    np.fill_diagonal(q, -q.sum(axis=1))
-    Q = validate(q)
-
+    q = [[0.0 if i == j else rate_rule(i, j) for j in range(N)] for i in range(N)]
     f = np.ones(N) if weight_rule is None else np.array([weight_rule(i) for i in range(N)])
-    spec = chain_spec(Q, weight_function(f), label=label)
-
-    mass = None
-    if pi_rule is not None:
-        mass = float(sum(pi_rule(i) for i in range(N)))
-    return TruncatedChain(spec=spec, retained_mass=mass)
+    return chain_spec(validate(q, repair=True), weight_function(f), label="truncated")
 
 
 def _reject_constant(token: str) -> None:

@@ -174,6 +174,8 @@ def cmd_drift(spec: ChainSpec, args: argparse.Namespace) -> dict:
 
 def cmd_simulate(spec: ChainSpec, args: argparse.Namespace) -> str:
     tmax = args.tmax if args.tmax is not None else 10.0 / chain_analysis(spec).true_decay_rate
+    if not np.isfinite(tmax):  # before linspace, which warns on an infinite end
+        raise ErgorateError(f"horizon {tmax} is not finite")
     times = np.linspace(0.0, tmax, args.points)
     ensemble = sample_paths(spec, args.state, times, args.paths, args.seed)
     return empirical_to_csv(empirical_fnorm(ensemble, spec.stationary, spec.weight))

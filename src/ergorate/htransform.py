@@ -15,7 +15,7 @@ the closed form of || h_s ||^2 under reversibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -25,6 +25,9 @@ from .chain_core import ChainSpec
 from .errors import ErgorateError
 from .semigroup import Propagator, f_norm, opnorm_inf_to_1, opnorm_inf_to_2
 from .spectral import chain_analysis
+
+# absolute residual (slack, for lemma 3.3) up to which an identity check passes
+LEMMA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,9 @@ class LemmaReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "inputs": self.inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "pass": self.passed,
-        }
+        d = asdict(self)
+        d["pass"] = d.pop("passed")  # the last field, so the key order is kept
+        return d
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,6 @@ def check_lemma31(
     s: float,
     g1: NDArray[np.float64],
     g2: NDArray[np.float64],
-    tol: float = 1e-9,
 ) -> tuple[LemmaReport, LemmaReport, LemmaReport]:
     """Structural identities of the conjugated family.
 
@@ -152,13 +149,13 @@ def check_lemma31(
 
     inputs = {"t": t, "s": s}
     return (
-        LemmaReport("lemma31.semigroup", inputs, None, None, r_semigroup, r_semigroup <= tol),
-        LemmaReport("lemma31.symmetry", inputs, None, None, r_symmetry, r_symmetry <= tol),
-        LemmaReport("lemma31.projection", inputs, None, None, r_projection, r_projection <= tol),
+        LemmaReport("lemma31.semigroup", inputs, None, None, r_semigroup, r_semigroup <= LEMMA_TOL),
+        LemmaReport("lemma31.symmetry", inputs, None, None, r_symmetry, r_symmetry <= LEMMA_TOL),
+        LemmaReport("lemma31.projection", inputs, None, None, r_projection, r_projection <= LEMMA_TOL),
     )
 
 
-def check_lemma32(T: TransformedSemigroup, t: float, tol: float = 1e-9) -> LemmaReport:
+def check_lemma32(T: TransformedSemigroup, t: float) -> LemmaReport:
     """Norm identity: the squared infinity-to-2 norm of the conjugated
     deviation at time t equals its infinity-to-1 norm at time 2t.
 
@@ -170,10 +167,10 @@ def check_lemma32(T: TransformedSemigroup, t: float, tol: float = 1e-9) -> Lemma
     lhs = opnorm_inf_to_2(T.pf_deviation(t), T.nu) ** 2
     rhs = opnorm_inf_to_1(T.pf_deviation(2.0 * t), T.nu)
     residual = abs(lhs - rhs)
-    return LemmaReport("lemma32", {"t": t}, float(lhs), float(rhs), float(residual), residual <= tol)
+    return LemmaReport("lemma32", {"t": t}, float(lhs), float(rhs), float(residual), residual <= LEMMA_TOL)
 
 
-def check_lemma33(T: TransformedSemigroup, t: float, tol: float = 1e-9) -> LemmaReport:
+def check_lemma33(T: TransformedSemigroup, t: float) -> LemmaReport:
     """Bound: the infinity-to-1 norm of the conjugated deviation is at
     most the pi-f-weighted average of the per-state decay curve values,
     sum_i pi_i f_i || P_t(i,.) - pi ||_f."""
@@ -182,7 +179,7 @@ def check_lemma33(T: TransformedSemigroup, t: float, tol: float = 1e-9) -> Lemma
     spec = T.base
     rhs = float(sum(spec.pi[i] * spec.f[i] * f_norm(dev[i, :], spec.weight) for i in range(spec.n)))
     slack = lhs - rhs
-    return LemmaReport("lemma33", {"t": t}, float(lhs), float(rhs), float(slack), slack <= tol)
+    return LemmaReport("lemma33", {"t": t}, float(lhs), float(rhs), float(slack), slack <= LEMMA_TOL)
 
 
 def h_function(spec: ChainSpec, i: int, s: float) -> tuple[HFunction, float, float | None]:

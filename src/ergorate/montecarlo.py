@@ -252,7 +252,9 @@ def sample_paths(
     ``holding_time_sum`` is added up chunk by chunk, so its last bits do.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0.0) or times[0] < 0.0:
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ErgorateError("times must be a nonempty vector of finite times")
+    if np.any(np.diff(times) < 0.0) or times[0] < 0.0:
         raise ErgorateError("times must be a nondecreasing nonnegative grid")
     if not 0 <= i < spec.n:
         raise ErgorateError(f"start state {i} out of range for {spec.n} states")

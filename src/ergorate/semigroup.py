@@ -162,7 +162,8 @@ class Propagator:
             self.noise_floor = _PADE_FLOOR
 
     def _check_time(self, t: float) -> None:
-        if t < 0.0:
+        # written so that NaN fails; +inf fails the time-rate bound below
+        if not t >= 0.0:
             raise ErgorateError(f"time must be nonnegative, got {t}")
         if t * self.spec.rate_matrix.max_rate > _MAX_TIME_RATE:
             raise Overflow(f"time-rate product {t * self.spec.rate_matrix.max_rate:.3e} too large")
@@ -310,9 +311,11 @@ def f_norm(nu: NDArray[np.float64], f: WeightFunction | NDArray[np.float64]) -> 
 def default_time_grid(rate_guess: float, points: int = 60, tmax: float | None = None) -> NDArray[np.float64]:
     """Log-spaced grid on [0.01, 10/rate_guess] (or an explicit tmax)
     resolving both the transient and the asymptotic regime."""
-    if rate_guess <= 0 and tmax is None:
+    if not rate_guess > 0 and tmax is None:
         raise ErgorateError("need a positive rate guess or an explicit tmax")
     T = tmax if tmax is not None else 10.0 / rate_guess
+    if not np.isfinite(T):
+        raise ErgorateError(f"horizon {T} is not finite")
     if T <= 0.01:
         raise ErgorateError(f"horizon {T} too short for the default grid")
     return np.geomspace(0.01, T, points)
@@ -329,7 +332,9 @@ def decay_curve(spec: ChainSpec, i: int, grid: NDArray[np.float64]) -> DecayCurv
     gap from the chain's memoized analysis.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ErgorateError("time grid must be a nonempty vector of finite times")
+    if np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
         raise ErgorateError("time grid must be strictly increasing and nonnegative")
     if not 0 <= i < spec.n:
         raise ErgorateError(f"state {i} out of range for {spec.n} states")

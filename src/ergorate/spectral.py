@@ -294,7 +294,8 @@ def drift_condition(
     if outside.size == 0:
         raise ErgorateError("small set must not cover every state")
     Qf = spec.q @ spec.f
-    c_max = float(np.min(-Qf[outside] / spec.f[outside]))
+    # + 0.0 turns the -0.0 of a constant weight into 0.0 and changes no other value
+    c_max = float(np.min(-Qf[outside] / spec.f[outside])) + 0.0
     if c_max <= 0.0:
         raise NoDrift(f"best drift coefficient {c_max:.3e} is not positive")
     b_min = float(np.max(Qf[np.array(C, dtype=int)] + c_max * spec.f[np.array(C, dtype=int)]))

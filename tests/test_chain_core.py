@@ -435,7 +435,12 @@ def negative_rule(i: int, j: int) -> float:
         ),
         (lambda: build_birth_death([1.0, 1.0], [1.0]), ErgorateError, "birth and death must be equal-length vectors"),
         (lambda: build_birth_death([], []), ErgorateError, "need at least 2 states"),
-        (lambda: truncate(negative_rule, 3), NegativeRate, "rule produced negative rate at (1,0)"),
+        (lambda: truncate(negative_rule, 3), NegativeRate, "negative off-diagonal rate q[1,0] = -1.0"),
+        (
+            lambda: truncate(lambda i, j: "x", 3),
+            ErgorateError,
+            "rate matrix Q must be numeric: could not convert string to float: 'x'",
+        ),
         (lambda: parse_chain_dict([1, 2]), ErgorateError, "chain spec must be a JSON object"),
         (
             lambda: parse_chain_dict({"family": "example21", "pi": [0.5, 0.5]}),
@@ -446,7 +451,7 @@ def negative_rule(i: int, j: int) -> float:
     ids=[
         "distribution-matrix", "distribution-nan", "distribution-negative", "weight-matrix", "weight-inf",
         "chain_spec-weight-length", "chain_spec-pi-length", "birth_death-lengths", "birth_death-one-state",
-        "truncate-negative", "parse-non-object", "parse-missing-key",
+        "truncate-negative", "truncate-non-numeric", "parse-non-object", "parse-missing-key",
     ],
 )
 def test_input_checks_name_the_fault(build, error, message):
@@ -475,16 +480,16 @@ def geometric_resample_rule(i: int, j: int) -> float:
 
 
 def test_truncate_geometric_window():
-    out = truncate(geometric_resample_rule, 10, pi_rule=lambda i: 2.0 ** -(i + 1))
-    assert out.spec.n == 10
-    assert out.retained_mass == pytest.approx(1.0 - 2.0**-10, abs=1e-15)
-    assert np.max(np.abs(out.spec.q.sum(axis=1))) <= 1e-14
+    spec = truncate(geometric_resample_rule, 10)
+    assert spec.n == 10
+    assert spec.label == "truncated"
+    assert np.max(np.abs(spec.q.sum(axis=1))) <= 1e-14
 
 
 def test_truncate_minimal_window():
-    out = truncate(lambda i, j: 1.0, 2)
-    assert out.spec.n == 2
-    assert out.retained_mass is None
+    spec = truncate(lambda i, j: 1.0, 2)
+    assert spec.n == 2
+    assert np.array_equal(spec.q, [[-1.0, 1.0], [1.0, -1.0]])
 
 
 def test_truncate_rejects_tiny_window():
@@ -498,10 +503,24 @@ def test_truncate_rejects_disconnected():
 
 
 def test_truncate_stationary_is_renormalized_target():
-    out = truncate(geometric_resample_rule, 8, pi_rule=lambda i: 2.0 ** -(i + 1))
+    spec = truncate(geometric_resample_rule, 8)
     target = np.array([2.0 ** -(i + 1) for i in range(8)])
     target /= target.sum()
-    assert np.max(np.abs(out.spec.pi - target)) <= 1e-12
+    assert np.max(np.abs(spec.pi - target)) <= 1e-12
+
+
+def test_truncate_of_a_birth_death_rule_is_the_birth_death_chain():
+    birth = [1.0, 2.0, 0.5, 1.5, 1.0]
+    death = [1.0, 1.0, 2.0, 0.5, 1.0]
+
+    def rule(i: int, j: int) -> float:
+        return birth[i] if j == i + 1 else death[j] if j == i - 1 else 0.0
+
+    spec = truncate(rule, 6, weight_rule=lambda k: 1.5**k)
+    bd = build_birth_death(birth, death, [1.5**k for k in range(6)])
+    assert np.array_equal(spec.q, bd.q)
+    assert np.array_equal(spec.f, bd.f)
+    assert np.max(np.abs(spec.pi - bd.pi)) <= 1e-12
 
 
 # ------------------------------------------------------------------ JSON IO

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -207,7 +208,9 @@ def test_drift_closed_form(capsys):
 def test_drift_constant_weight_fails(capsys):
     code, _, err = run(capsys, "drift", "--family", "example22")
     assert code == 2
-    assert json.loads(err)["error"] == "NoDrift"
+    assert json.loads(err) == {
+        "error": "NoDrift", "message": "best drift coefficient 0.000e+00 is not positive"
+    }
 
 
 # ---------------------------------------------------------------- simulate
@@ -469,6 +472,25 @@ def input_error(code, out, err) -> str:
 def test_points_below_one_is_an_input_error(capsys, command, points):
     argv = [command, "--family", "example22", "--points", points]
     assert "--points" in input_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay", *EX21_ARGS, "--tmax", "nan"],
+        ["decay", "--family", "example22", "--tmax", "nan"],
+        ["fit", "--family", "example22", "--tmax", "nan"],
+        ["fit", *EX21_ARGS, "--tmax", "inf"],
+        ["simulate", "--family", "example22", "--tmax", "nan"],
+        # linspace(0, inf) once began with NaN and the sampler never returned
+        ["simulate", "--family", "example22", "--tmax", "inf", "--paths", "10"],
+    ],
+)
+def test_non_finite_horizon_is_an_input_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would precede the JSON line
+        message = input_error(*run(capsys, *argv))
+    assert message == f"horizon {argv[argv.index('--tmax') + 1]} is not finite"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -302,6 +302,14 @@ def test_input_validation(ex22):
         sample_paths(ex22, 0, np.array([0.5]), 0, seed=0)
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+def test_non_finite_times_are_an_input_error(ex22, times):
+    # NaN once passed every comparison and left np.empty occupancy in its
+    # column; an infinite horizon never returned
+    with pytest.raises(ErgorateError, match="^times must be a nonempty vector of finite times$"):
+        sample_paths(ex22, 0, times, 5, 1)
+
+
 # -------------------------------------------------------------- statistics
 
 def test_two_state_law_matches_closed_form():

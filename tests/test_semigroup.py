@@ -99,6 +99,17 @@ def test_propagator_rejects_huge_time(ex21):
         Propagator(ex21).matrix(1e13)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_is_an_input_error(ex21, ex22, t):
+    for spec in (ex21, ex22):
+        with pytest.raises(ErgorateError):
+            Propagator(spec).matrix(t)
+        with pytest.raises(ErgorateError):
+            Propagator(spec).deviation(t)
+        with pytest.raises(ErgorateError):
+            expm(spec, t)
+
+
 def test_chapman_kolmogorov(ex22):
     prop = Propagator(ex22)
     lhs = prop.matrix(1.3)
@@ -169,6 +180,20 @@ def test_default_time_grid_rejects_degenerate():
         default_time_grid(1e9)
 
 
+@pytest.mark.parametrize(
+    "rate_guess, tmax, message",
+    [
+        (np.nan, None, "need a positive rate guess or an explicit tmax"),
+        (1.0, np.nan, "horizon nan is not finite"),
+        (1.0, np.inf, "horizon inf is not finite"),
+        (1.0, -np.inf, "horizon -inf is not finite"),
+    ],
+)
+def test_default_time_grid_rejects_a_non_finite_horizon(rate_guess, tmax, message):
+    with pytest.raises(ErgorateError, match=f"^{message}$"):
+        default_time_grid(rate_guess, tmax=tmax)
+
+
 # ------------------------------------------------------------- decay curve
 
 def test_decay_curve_initial_value(ex21):
@@ -207,6 +232,13 @@ def test_decay_curve_rejects_bad_grid(ex21):
         decay_curve(ex21, 0, np.array([1.0, 0.5]))
     with pytest.raises(ErgorateError):
         decay_curve(ex21, 5, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("grid", [[0.5, np.nan, 1.0], [np.nan], [0.5, 1.0, np.inf], [np.nan, 1.0]])
+def test_decay_curve_rejects_a_non_finite_grid_on_both_routes(ex21, ex22, grid):
+    for spec in (ex21, ex22):
+        with pytest.raises(ErgorateError, match="^time grid must be a nonempty vector of finite times$"):
+            decay_curve(spec, 0, np.array(grid))
 
 
 # --------------------------------------------------------------- fit_rate
