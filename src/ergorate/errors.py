@@ -42,7 +42,9 @@ class EigenFailure(ErgorateError):
 
 
 class Overflow(ErgorateError):
-    """Time-rate product too large for the matrix-exponential method."""
+    """A run too large to carry out: a time-rate product too large for the
+    matrix-exponential method, or a sampler run expected to draw more
+    jumps than its bound."""
 
 
 class InsufficientData(ErgorateError):

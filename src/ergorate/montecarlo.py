@@ -11,16 +11,12 @@ stream is numpy's Philox4x64-10 (Salmon, Moraes, Dror and Shaw,
 pair j (steps 2j and 2j+1) of path p reads the four words of
 ``Philox(key=(seed, 0), counter=(p, j, 0, 0)).random_raw(4)``: hold and
 jump of step 2j, then hold and jump of step 2j+1.  For a run of paths
-those counters are consecutive, so one call of numpy's own generator
-draws a step pair for every path of a chunk from the first live one to
-the last.  The paths of an ensemble, and so its occupancy and holding
-counts, are the same under any chunking, and growing it leaves earlier
-paths unchanged.  Holding-time sums are float sums taken block by block
-and chunk by chunk, so their last bits (about 1e-15 relative) depend on
-the chunk size.
+those counters are consecutive: a block builds one Philox at the counter
+of its first live path, one draw gives a step pair for every path up to
+the last, and ``advance`` moves the counter on to the next pair.
 
-Simulation is vectorized across paths.  Paths advance in fixed blocks
-of steps: a block of uniforms is drawn for the live paths, holds come
+Simulation is vectorized across paths.  Paths advance in blocks of 8
+steps: a block of uniforms is drawn for the live paths, holds come
 from inversion (``-log1p(-u) / q_s``) and the next state from a binary
 search in a padded n x max_degree CDF table and one gather.  After each
 block only the paths whose last jump is still within the horizon go
@@ -36,16 +32,17 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chain_core import ChainSpec, Distribution, WeightFunction
-from .errors import ErgorateError
+from .errors import ErgorateError, Overflow
 
 # Paths simulated at once.  Bounds the working memory and the span a
 # block draws uniforms for (every path from the first live one to the
 # last).  Counters carry the absolute path index, so the chunk size
 # changes no path.
 _CHUNK = 1 << 12
-_BLOCK = 16  # steps drawn per live path per round; even, so whole step pairs
-
-_U64 = (1 << 64) - 1
+_BLOCK = 8  # steps drawn per live path per round; even, so whole step pairs
+# Bound on a run's expected jump draws, minutes of work: 200x the 5e6 of
+# acceptance criterion 8 (100,000 paths), 1,000x the benchmark's ops.
+_MAX_DRAWS = 1e9
 
 
 @dataclass(frozen=True)
@@ -78,44 +75,30 @@ class EmpiricalDecay:
     stderrs: NDArray[np.float64]
 
 
-def _stream(seed: int) -> np.random.Generator:
-    """numpy's Philox4x64-10 keyed by (seed mod 2^64, 0), in a Generator.
-
-    Built from a fixed seed and then re-keyed, so no OS entropy is read;
-    ``_uniforms`` sets the counter before every draw.
-    """
-    gen = np.random.Generator(np.random.Philox(0))
-    state = gen.bit_generator.state
-    state["state"]["key"] = np.array([seed & _U64, 0], dtype=np.uint64)
-    gen.bit_generator.state = state
-    return gen
-
-
 def _uniforms(
-    gen: np.random.Generator, paths: NDArray[np.int64], k0: int, steps: int
+    seed: int, paths: NDArray[np.int64], k0: int, steps: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Hold and jump uniforms of steps k0 .. k0+steps-1, shape (steps, paths).
 
-    Step pair j (steps 2j and 2j+1) of path p reads the four words of
-    ``Philox(key=(seed, 0), counter=(p, j, 0, 0)).random_raw(4)``: hold
-    and jump of step 2j, then hold and jump of step 2j+1, each word w
-    mapped to ``(w >> 11) * 2^-53`` by ``Generator.random``.  numpy's
-    Philox bumps the counter's first word before each output, so the
-    words of one step pair for the paths lo .. hi are one run of
-    counters: one draw per step pair serves every path in between.
-    ``paths`` must increase; k0 and steps must be even.
+    Step pair j of path p reads the words of ``Philox(key=(seed, 0),
+    counter=(p, j, 0, 0)).random_raw(4)`` (see the module docstring),
+    each word w mapped to ``(w >> 11) * 2^-53`` by ``Generator.random``.
+    For the paths lo .. hi those counters are one run, so one draw per
+    step pair serves every path in between; advancing by 2^64 - span
+    then carries the counter from (hi + 1, j) to (lo, j + 1).  ``paths``
+    must increase; k0 and steps must be even.
     """
-    bitgen = gen.bit_generator
-    state = bitgen.state
     lo = int(paths[0])
     span = int(paths[-1]) - lo + 1
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed % 2**64, 0], dtype=np.uint64),
+        counter=np.array([lo, k0 // 2, 0, 0], dtype=np.uint64),
+    ))
     # (step pairs, paths in [lo, hi], step in pair, hold/jump)
     raw = np.empty((steps // 2, span, 2, 2))
     for j in range(steps // 2):
-        state["state"]["counter"] = np.array([lo, k0 // 2 + j, 0, 0], dtype=np.uint64)
-        state["buffer_pos"] = 4  # drop buffered words: the next draw starts at the counter
-        bitgen.state = state
         gen.random(out=raw[j])
+        gen.bit_generator.advance((1 << 64) - span)
     if span != len(paths):
         raw = raw[:, paths - lo]
     u = raw.transpose(3, 0, 2, 1).reshape(2, steps, len(paths))
@@ -193,12 +176,11 @@ def _simulate_chunk(
     live = np.arange(hi - lo)  # rows of occ still running
     state = np.full(live.size, start, dtype=np.intp)
     clock = np.zeros(live.size)  # time of each live path's last jump
-    gen = _stream(seed)
     k0 = 0
     while live.size:
         m = live.size
         # step-major (steps, m): each step reads contiguous rows
-        u_hold, u_jump = _uniforms(gen, lo + live, k0, _BLOCK)
+        u_hold, u_jump = _uniforms(seed, lo + live, k0, _BLOCK)
         states = np.empty((_BLOCK + 1, m), dtype=np.intp)
         states[0] = state
         for k in range(_BLOCK):
@@ -249,7 +231,10 @@ def sample_paths(
     ensemble, and path p is the same in every ensemble of more than p
     paths: its stream depends on (seed, p) alone.  Occupancy and holding
     counts therefore do not depend on how paths are split into chunks;
-    ``holding_time_sum`` is added up chunk by chunk, so its last bits do.
+    ``holding_time_sum`` is added up block by block and chunk by chunk,
+    so its last bits (about 1e-14 relative) do.  ``Overflow`` is raised
+    when n_paths x horizon x the largest exit rate, about the number of
+    jump draws, exceeds ``_MAX_DRAWS``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
@@ -260,23 +245,23 @@ def sample_paths(
         raise ErgorateError(f"start state {i} out of range for {spec.n} states")
     if n_paths < 1:
         raise ErgorateError(f"need at least one path, got {n_paths}")
+    draws = n_paths * float(times[-1]) * spec.rate_matrix.max_rate
+    if draws > _MAX_DRAWS:
+        raise Overflow(f"about {draws:.3e} jump draws expected, more than {_MAX_DRAWS:.0e}")
 
-    parts = [
+    occupancy, hold_sums, hold_counts = zip(*(
         _simulate_chunk(spec, i, times, seed, lo, min(lo + _CHUNK, n_paths))
         for lo in range(0, n_paths, _CHUNK)
-    ]
-    occupancy = np.concatenate([p[0] for p in parts], axis=0)
-    hold_sum = sum(p[1] for p in parts)
-    hold_count = sum(p[2] for p in parts)
+    ))
     return TrajectoryEnsemble(
         chain=spec,
         start=int(i),
         times=times,
         n_paths=int(n_paths),
         seed=int(seed),
-        occupancy=occupancy,
-        holding_time_sum=hold_sum,
-        holding_count=hold_count,
+        occupancy=np.concatenate(occupancy),
+        holding_time_sum=sum(hold_sums),
+        holding_count=sum(hold_counts),
     )
 
 

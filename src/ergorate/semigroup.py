@@ -423,6 +423,8 @@ def fit_rate(
 
     Raises
     ------
+    ErgorateError
+        A window end that is not finite, or an empty window.
     InsufficientData
         Fewer than 5 grid points in the window, or fewer than 3 peaks in
         peak mode.
@@ -440,6 +442,8 @@ def fit_rate(
             raise ErgorateError("curve has no positive envelope rate; pass a window")
         window = (2.0 / rg, 6.0 / rg)
     t_lo, t_hi = float(window[0]), float(window[1])
+    if not (np.isfinite(t_lo) and np.isfinite(t_hi)):
+        raise ErgorateError(f"window {window} needs two finite ends")
     if not t_hi > t_lo:
         raise ErgorateError(f"empty window {window}")
 

@@ -192,6 +192,16 @@ def test_fit_non_numeric_window(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("window, shown", [("0.5,inf", "(0.5, inf)"), ("nan,5", "(nan, 5.0)")])
+def test_fit_window_ends_must_be_finite(capsys, window, shown):
+    # 0.5,inf once exited 0 and printed "window": [0.5, Infinity], which
+    # is not JSON
+    code, out, err = run(capsys, "fit", *EX21_ARGS, "--window", window)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ErgorateError", "message": f"window {shown} needs two finite ends"}
+
+
 # ------------------------------------------------------------------- drift
 
 def test_drift_closed_form(capsys):
@@ -244,6 +254,14 @@ def test_simulate_reproducible(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_simulate_refuses_a_horizon_beyond_the_draw_bound(capsys):
+    # --tmax 1e300 is finite, and the sampler once ran without end on it
+    code, out, err = run(capsys, "simulate", "--family", "example22", "--tmax", "1e300", "--paths", "10")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "Overflow"
 
 
 # ------------------------------------------------------------------ verify

@@ -9,13 +9,12 @@ import pytest
 
 from ergorate import montecarlo
 from ergorate.chain_core import chain_spec, validate, weight_function
-from ergorate.errors import ErgorateError
+from ergorate.errors import ErgorateError, Overflow
 from ergorate.montecarlo import (
     _CHUNK,
     _jump_table,
     _next_states,
     _simulate_chunk,
-    _stream,
     _uniforms,
     empirical_fnorm,
     empirical_law,
@@ -127,10 +126,9 @@ def test_uniforms_match_numpy_philox(seed):
     # step 2j+1, mapped as Generator.random maps them.  Path sets: a
     # non-contiguous live subset inside one chunk, and a run from 2^40.
     steps = 48
-    gen = _stream(seed)  # one generator serves every draw, as in a chunk
     for paths in (np.array([0, 1, 5, 40, 4000]), 2**40 + np.arange(6)):
-        hold, jump = _uniforms(gen, paths, 0, steps)
-        later_hold, later_jump = _uniforms(gen, paths, 32, 16)
+        hold, jump = _uniforms(seed, paths, 0, steps)
+        later_hold, later_jump = _uniforms(seed, paths, 32, 16)
         assert hold.shape == jump.shape == (steps, paths.size)
         for r, p in enumerate(paths):
             raw = np.concatenate([philox_words(seed, p, j) for j in range(steps // 2)])
@@ -146,13 +144,13 @@ def test_uniforms_match_numpy_philox(seed):
             assert np.array_equal(ref.random(4), [hold[6, 2], jump[6, 2], hold[7, 2], jump[7, 2]])
 
 
-class RecordingStream:
+class RecordingGenerator:
     """Stands in for the sampler's generator; logs the first counter
     word, the step pair and the path count of every draw."""
 
-    def __init__(self, gen, log):
-        self.bit_generator = gen.bit_generator
-        self._gen = gen
+    def __init__(self, generator, bit_generator, log):
+        self.bit_generator = bit_generator
+        self._gen = generator(bit_generator)
         self._log = log
 
     def random(self, out):
@@ -174,8 +172,10 @@ def test_late_blocks_draw_only_the_live_span(monkeypatch):
 
     def draws(a, b):
         log = []
-        monkeypatch.setattr(montecarlo, "_stream", lambda seed: RecordingStream(_stream(seed), log))
-        _simulate_chunk(spec, 0, times, 5, a, b)
+        generator = np.random.Generator
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "Generator", lambda bitgen: RecordingGenerator(generator, bitgen, log))
+            _simulate_chunk(spec, 0, times, 5, a, b)
         return log
 
     blocks = np.array([len(draws(p, p + 1)) // pairs for p in range(lo, hi)])
@@ -308,6 +308,18 @@ def test_non_finite_times_are_an_input_error(ex22, times):
     # column; an infinite horizon never returned
     with pytest.raises(ErgorateError, match="^times must be a nonempty vector of finite times$"):
         sample_paths(ex22, 0, times, 5, 1)
+
+
+def test_horizon_beyond_the_draw_bound_is_overflow(monkeypatch, ex22):
+    # n_paths x horizon x the largest exit rate estimates the jump draws;
+    # a finite but huge horizon once ran without end
+    with pytest.raises(Overflow, match="jump draws expected"):
+        sample_paths(ex22, 0, np.array([0.0, 1e300]), 10, 1)
+    top = ex22.rate_matrix.max_rate
+    monkeypatch.setattr(montecarlo, "_MAX_DRAWS", 1000.0)
+    assert sample_paths(ex22, 0, np.array([0.0, 99.0 / top]), 10, 1).n_paths == 10
+    with pytest.raises(Overflow, match=r"^about 1\.010e\+03 jump draws expected, more than 1e\+03$"):
+        sample_paths(ex22, 0, np.array([0.0, 101.0 / top]), 10, 1)
 
 
 # -------------------------------------------------------------- statistics

@@ -329,6 +329,15 @@ def test_fit_rate_rejects_bad_mode(ex21):
         fit_rate(curve, window=(3.0, 1.0))
 
 
+@pytest.mark.parametrize("window", [(0.5, np.inf), (np.nan, 5.0), (-np.inf, 5.0), (1.0, np.nan)])
+def test_fit_rate_window_ends_must_be_finite(ex21, window):
+    # (0.5, inf) was fitted and reported an infinite end, which JSON
+    # cannot hold; (nan, 5) was refused only as an empty window
+    curve = decay_curve(ex21, 0, default_time_grid(1.0))
+    with pytest.raises(ErgorateError, match=rf"^window \({window[0]}, {window[1]}\) needs two finite ends$"):
+        fit_rate(curve, window=window)
+
+
 def test_fit_rate_to_dict():
     d = fit_rate(synthetic_peaked_curve()).to_dict()
     assert set(d) == {"rate", "intercept", "window", "residual", "mode", "n_points"}
