@@ -71,11 +71,9 @@ from .semigroup import (
     DecayCurve,
     Propagator,
     RateFit,
-    SemigroupSnapshot,
     decay_curve,
     decay_curve_to_csv,
     default_time_grid,
-    expm,
     f_norm,
     fit_rate,
     mu_ft_norm,

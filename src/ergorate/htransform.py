@@ -78,8 +78,6 @@ class TransformedSemigroup:
         self.base = spec
         self.prop = Propagator(spec)
         self.nu = spec.f**2 * spec.pi
-        # projection matrix: row i is pi_j f_j / f_i
-        self._pif_matrix = np.outer(1.0 / spec.f, spec.pi * spec.f)
 
     @property
     def qf(self) -> NDArray[np.float64]:

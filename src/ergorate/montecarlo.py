@@ -233,8 +233,9 @@ def sample_paths(
     counts therefore do not depend on how paths are split into chunks;
     ``holding_time_sum`` is added up block by block and chunk by chunk,
     so its last bits (about 1e-14 relative) do.  ``Overflow`` is raised
-    when n_paths x horizon x the largest exit rate, about the number of
-    jump draws, exceeds ``_MAX_DRAWS``.
+    when n_paths x (_BLOCK + horizon x the largest exit rate), about the
+    number of jump draws, exceeds ``_MAX_DRAWS``: every path draws at
+    least one block, however short the horizon.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
@@ -245,7 +246,7 @@ def sample_paths(
         raise ErgorateError(f"start state {i} out of range for {spec.n} states")
     if n_paths < 1:
         raise ErgorateError(f"need at least one path, got {n_paths}")
-    draws = n_paths * float(times[-1]) * spec.rate_matrix.max_rate
+    draws = n_paths * (_BLOCK + float(times[-1]) * spec.rate_matrix.max_rate)
     if draws > _MAX_DRAWS:
         raise Overflow(f"about {draws:.3e} jump draws expected, more than {_MAX_DRAWS:.0e}")
 

@@ -40,7 +40,6 @@ peak only, which restores an exactly log-linear point set.
 from __future__ import annotations
 
 import io
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -61,8 +60,6 @@ _PADE_FLOOR = 1e-14
 # floor is the edge of normal double range.
 _SPECTRAL_FLOOR = 1e-300
 
-_NEGATIVE_DUST = 1e-12
-
 # Term budget B of one uniformization segment: a decay curve evaluates
 # every grid time within B / (largest exit rate) of the last time reached
 # from one sequence of row-vector products, and takes a longer gap with
@@ -77,20 +74,6 @@ _UNIFORM_TERMS = 100
 
 # Upper Poisson tail left out of each uniformization segment.
 _POISSON_TAIL = 1e-17
-
-
-@dataclass(frozen=True)
-class SemigroupSnapshot:
-    """The transition matrix at a single time.
-
-    ``method`` records which route produced it ("spectral" or "pade").
-    Entries in [-1e-12, 0) are floating-point dust and are clamped to 0;
-    anything more negative triggers a warning and is left visible.
-    """
-
-    t: float
-    P: NDArray[np.float64]
-    method: str
 
 
 @dataclass(frozen=True)
@@ -144,10 +127,9 @@ class Propagator:
     analysis, so building a propagator does no O(n^2) work and every
     propagator of one spec shares one decomposition.  ``matrix`` and
     ``deviation`` return full n x n matrices, for the identity checks and
-    ``verify``; ``snapshot`` is ``matrix`` with dust clamped.  Decay
-    curves read only one row per time: on the spectral route from one
-    matrix product, on the Pade route by uniformization with a dense
-    exponential for long gaps (see the module docstring).
+    ``verify``.  Decay curves read only one row per time: on the spectral
+    route from one matrix product, on the Pade route by uniformization
+    with a dense exponential for long gaps (see the module docstring).
     """
 
     def __init__(self, spec: ChainSpec):
@@ -169,7 +151,7 @@ class Propagator:
             raise Overflow(f"time-rate product {t * self.spec.rate_matrix.max_rate:.3e} too large")
 
     def matrix(self, t: float) -> NDArray[np.float64]:
-        """Raw exp(tQ) without clamping."""
+        """The transition matrix exp(tQ), as computed."""
         self._check_time(t)
         if self.method == "spectral":
             return (self._psi * np.exp(-t * self._lam)[None, :]) @ self._phi
@@ -204,22 +186,6 @@ class Propagator:
             decay = np.exp(-np.outer(times, self._lam[1:]))
             return (self._psi[i, 1:] * decay) @ self._phi[1:, :]
         return _uniformized_rows(self.spec.q, i, times) - self.spec.pi
-
-    def snapshot(self, t: float) -> SemigroupSnapshot:
-        """P_t with dust clamped, row-stochasticity enforced."""
-        P = self.matrix(t)
-        worst = float(P.min())
-        if worst < -_NEGATIVE_DUST:
-            warnings.warn(
-                f"semigroup entry {worst:.3e} below the dust threshold at t={t}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        P = np.where((P < 0.0) & (P >= -_NEGATIVE_DUST), 0.0, P)
-        row_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-        if row_err > 1e-10:
-            raise ErgorateError(f"semigroup rows deviate from stochastic by {row_err:.3e}")
-        return SemigroupSnapshot(t=float(t), P=P, method=self.method)
 
 
 def _poisson_weights(mu: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -292,11 +258,6 @@ def _uniformized_rows(q: NDArray[np.float64], i: int, times: NDArray[np.float64]
         v = rows[end - 1]
         j = end
     return rows
-
-
-def expm(spec: ChainSpec, t: float) -> SemigroupSnapshot:
-    """One-off snapshot of exp(tQ); see Propagator for repeated use."""
-    return Propagator(spec).snapshot(t)
 
 
 def f_norm(nu: NDArray[np.float64], f: WeightFunction | NDArray[np.float64]) -> float:
@@ -494,7 +455,8 @@ def mu_ft_norm(mu: NDArray[np.float64], spec: ChainSpec, t: float) -> tuple[floa
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (spec.n,):
         raise ErgorateError(f"mu must have shape ({spec.n},)")
-    if np.any(mu < 0.0) or abs(mu.sum() - 1.0) > 1e-10:
+    # written so that NaN fails, as in Propagator._check_time
+    if not (np.all(mu >= 0.0) and abs(mu.sum() - 1.0) <= 1e-10):
         raise ErgorateError("mu must be a probability vector")
     direct = f_norm(mu @ Propagator(spec).deviation(t), spec.weight)
 

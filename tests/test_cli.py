@@ -264,6 +264,17 @@ def test_simulate_refuses_a_horizon_beyond_the_draw_bound(capsys):
     assert json.loads(err)["error"] == "Overflow"
 
 
+def test_simulate_refuses_more_paths_than_the_draw_bound(capsys):
+    # every path draws one block, however short --tmax: this call once
+    # estimated 2 draws and would have run for about half an hour
+    code, out, err = run(capsys, "simulate", "--family", "example22", "--tmax", "1e-9", "--paths", "2000000000")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "Overflow",
+        "message": "about 1.600e+10 jump draws expected, more than 1e+09",
+    }
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_battery_passes(capsys):
@@ -522,7 +533,12 @@ def test_verify_lemma_size_below_two_is_an_input_error(capsys, n):
 
 @pytest.mark.parametrize(
     "n, message",
-    [("1", "--n needs at least 2 states, got 1"), ("21", "--n needs at most 20 states for lemma32, got 21")],
+    [
+        ("1", "--n needs at least 2 states, got 1"),
+        ("21", "--n needs at most 20 states for lemma32, got 21"),
+        # a million states once died in numpy with a MemoryError and exit 1
+        ("1000000", "--n needs at most 300 states for lemma31, got 1000000"),
+    ],
 )
 def test_verify_lemma_size_is_checked_before_any_check_runs(capsys, monkeypatch, n, message):
     calls = []
@@ -536,7 +552,27 @@ def test_verify_lemma_size_is_checked_before_any_check_runs(capsys, monkeypatch,
     assert calls == []
 
 
-@pytest.mark.parametrize("argv", [["--n", "24", "--only", "lemma31"], ["--n", "21", "--only", "hfunction"]])
+def test_hfunction_closed_form_fails_when_off_by_1e9_relative(capsys, monkeypatch):
+    def skewed(*args, _orig=cli.h_function):
+        h, direct, closed = _orig(*args)
+        return h, direct, closed * (1.0 + 1e-9)
+
+    monkeypatch.setattr(cli, "h_function", skewed)
+    for n in ("6", "200"):
+        code, out, _ = run(capsys, "verify", "--only", "hfunction.closed_form", "--n", n)
+        assert code == 1
+        assert out.startswith("FAIL  hfunction.closed_form ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "24", "--only", "lemma31"],
+        ["--n", "21", "--only", "hfunction"],
+        # min pi is 4.5e-8: hfunction.closed_form's absolute bound once failed
+        ["--n", "200", "--only", "hfunction"],
+    ],
+)
 def test_verify_lemma_size_above_the_enumeration_cap_runs_the_other_lemma_checks(capsys, argv):
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 0

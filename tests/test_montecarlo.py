@@ -311,15 +311,19 @@ def test_non_finite_times_are_an_input_error(ex22, times):
 
 
 def test_horizon_beyond_the_draw_bound_is_overflow(monkeypatch, ex22):
-    # n_paths x horizon x the largest exit rate estimates the jump draws;
-    # a finite but huge horizon once ran without end
+    # n_paths x (_BLOCK + horizon x the largest exit rate) estimates the
+    # jump draws; a finite but huge horizon once ran without end
     with pytest.raises(Overflow, match="jump draws expected"):
         sample_paths(ex22, 0, np.array([0.0, 1e300]), 10, 1)
+    # a tiny horizon still draws one block per path: two billion paths
+    # once estimated 2 draws and ran for about half an hour
+    with pytest.raises(Overflow, match=r"^about 1\.600e\+10 jump draws expected, more than 1e\+09$"):
+        sample_paths(ex22, 0, np.array([0.0, 1e-9]), 2_000_000_000, 1)
     top = ex22.rate_matrix.max_rate
     monkeypatch.setattr(montecarlo, "_MAX_DRAWS", 1000.0)
-    assert sample_paths(ex22, 0, np.array([0.0, 99.0 / top]), 10, 1).n_paths == 10
+    assert sample_paths(ex22, 0, np.array([0.0, 91.0 / top]), 10, 1).n_paths == 10
     with pytest.raises(Overflow, match=r"^about 1\.010e\+03 jump draws expected, more than 1e\+03$"):
-        sample_paths(ex22, 0, np.array([0.0, 101.0 / top]), 10, 1)
+        sample_paths(ex22, 0, np.array([0.0, 93.0 / top]), 10, 1)
 
 
 # -------------------------------------------------------------- statistics

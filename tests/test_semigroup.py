@@ -35,7 +35,6 @@ from ergorate.semigroup import (
     decay_curve,
     decay_curve_to_csv,
     default_time_grid,
-    expm,
     f_norm,
     fit_rate,
     mu_ft_norm,
@@ -49,44 +48,45 @@ def two_state():
     return chain_spec(validate([[-1.0, 1.0], [1.0, -1.0]]), weight_function([1.0, 1.0]))
 
 
-# ------------------------------------------------------------------- expm
+# -------------------------------------------------------------- propagator
 
 def test_expm_time_zero_is_identity(ex22):
-    snap = expm(ex22, 0.0)
-    assert np.max(np.abs(snap.P - np.eye(3))) <= 1e-14
+    P = Propagator(ex22).matrix(0.0)
+    assert np.max(np.abs(P - np.eye(3))) <= 1e-14
 
 
 def test_expm_two_state_closed_form():
     spec = two_state()
     # the chain's own (spectral) route, and the Pade exponential directly
-    for P in (expm(spec, 1.0).P, scipy.linalg.expm(spec.q)):
+    for P in (Propagator(spec).matrix(1.0), scipy.linalg.expm(spec.q)):
         assert P[0, 0] == pytest.approx(0.5 + 0.5 * np.exp(-2.0), abs=1e-13)
         assert P[0, 1] == pytest.approx(0.5 - 0.5 * np.exp(-2.0), abs=1e-13)
 
 
 def test_expm_methods_agree(ex21):
+    prop = Propagator(ex21)
+    assert prop.method == "spectral"
     for t in (0.1, 1.0, 5.0):
-        snap = expm(ex21, t)
-        assert snap.method == "spectral"
-        Ps, Pp = snap.P, scipy.linalg.expm(t * ex21.q)
+        Ps, Pp = prop.matrix(t), scipy.linalg.expm(t * ex21.q)
         assert np.max(np.abs(Ps - Pp)) <= 1e-12
 
 
 def test_expm_long_time_limit(ex22):
-    P = expm(ex22, 40.0).P
+    P = Propagator(ex22).matrix(40.0)
     assert np.max(np.abs(P - np.outer(np.ones(3), ex22.pi))) <= 1e-9
 
 
-def test_snapshot_rows_stochastic(bd6):
+def test_matrix_rows_stochastic(bd6):
+    # no entry is clamped: the computed matrix itself is nonnegative
     for t in (0.05, 0.7, 12.0):
-        P = expm(bd6, t).P
+        P = Propagator(bd6).matrix(t)
         assert np.all(P >= 0.0)
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-10
 
 
-def test_snapshot_records_method(ex21, ex22):
-    assert expm(ex21, 1.0).method == "spectral"
-    assert expm(ex22, 1.0).method == "pade"
+def test_propagator_records_method(ex21, ex22):
+    assert Propagator(ex21).method == "spectral"
+    assert Propagator(ex22).method == "pade"
 
 
 def test_propagator_rejects_negative_time(ex21):
@@ -106,8 +106,6 @@ def test_non_finite_time_is_an_input_error(ex21, ex22, t):
             Propagator(spec).matrix(t)
         with pytest.raises(ErgorateError):
             Propagator(spec).deviation(t)
-        with pytest.raises(ErgorateError):
-            expm(spec, t)
 
 
 def test_chapman_kolmogorov(ex22):
@@ -416,11 +414,15 @@ def test_mu_ft_norm_point_mass_matches_curve(ex22):
     assert direct == pytest.approx(curve.fnorms[0], abs=1e-13)
 
 
-def test_mu_ft_norm_rejects_non_probability(bd6):
+def test_mu_ft_norm_rejects_non_probability(bd6, ex22):
     with pytest.raises(ErgorateError):
         mu_ft_norm(np.full(bd6.n, 0.5), bd6, 1.0)
     with pytest.raises(ErgorateError):
         mu_ft_norm(np.zeros(3), bd6, 1.0)
+    # NaN once failed both comparisons and came back as (nan, nan)
+    for bad in ([np.nan, 0.5, 0.5], [0.5, 0.5, np.nan]):
+        with pytest.raises(ErgorateError, match="^mu must be a probability vector$"):
+            mu_ft_norm(np.array(bad), ex22, 1.0)
 
 
 def test_mu_ft_norm_dual_route_uses_time_reversal(ex22):
