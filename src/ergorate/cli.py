@@ -188,10 +188,10 @@ def cmd_simulate(spec: ChainSpec, args: argparse.Namespace) -> str:
 # per-chain checks, known before any chain is built
 _BATTERY_NAMES = ("example21.n3", "example21.n7", "example22.n3", "birth_death.n6")
 
-# Largest lemma-check chain (verify --n).  hfunction.* cost O(n^4), two
-# matrix exponentials per state: `verify --only hfunction --n 300` took
-# 2.4-2.7 s on a 2-vCPU x86 VM with one BLAS thread, and 30 s at 600.
-MAX_LEMMA_STATES = 300
+# Largest lemma-check chain (verify --n).  The checks cost O(n^3): `verify --only hfunction
+# --n 600` takes 0.4 s (2-vCPU x86 VM, one BLAS thread).  The seed-13 lemma chain's gap is at
+# least 30x the zero-mode tolerance up to n = 652, and under it from 826 (EigenFailure).
+MAX_LEMMA_STATES = 600
 
 
 def _battery_chains(tol: Tolerances) -> list[ChainSpec]:
@@ -490,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--n",
         type=int,
         default=6,
-        help=f"state count for the lemma-check chain: at least 2, at most {MAX_LEMMA_STATES}, "
-        f"and at most {MAX_ENUMERATED_STATES} when lemma32 or lemma33 runs",
+        help=f"state count for the lemma-check chain: at least 2, at most {MAX_LEMMA_STATES} (the checks "
+        f"cost O(n^3)), and at most {MAX_ENUMERATED_STATES} when lemma32 or lemma33 runs",
     )
     p.add_argument("--output", help="also write JSON results here")
     add_tolerances(p)

@@ -125,11 +125,10 @@ class Propagator:
     ``method``: "spectral" on a reversible chain, "pade" otherwise.  The
     verdict and the spectral factors are read from the chain's memoized
     analysis, so building a propagator does no O(n^2) work and every
-    propagator of one spec shares one decomposition.  ``matrix`` and
-    ``deviation`` return full n x n matrices, for the identity checks and
-    ``verify``.  Decay curves read only one row per time: on the spectral
-    route from one matrix product, on the Pade route by uniformization
-    with a dense exponential for long gaps (see the module docstring).
+    propagator of one spec shares one decomposition, whose zero mode is
+    exact.  ``matrix`` and ``deviation`` return full n x n matrices, for
+    the identity checks and ``verify``.  ``row_deviations`` is the one
+    row path, read by decay curves and h_function.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -175,10 +174,13 @@ class Propagator:
 
         return scipy.linalg.expm(t * self.spec.q) - self.spec.pi
 
-    def _row_deviations(self, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
+    def row_deviations(self, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
         """Rows P_t(i, .) - pi for increasing ``times``, shape (G, n).
 
-        Equals deviation(t)[i] for each t, without forming any other row.
+        Equals deviation(t)[i] for each t, without forming any other row:
+        one O(G n^2) product on the spectral route; on the Pade route
+        row-vector products with Poisson weights, and one dense exponential
+        per grid gap longer than _UNIFORM_TERMS over the largest exit rate.
         """
         for t in (times[0], times[-1]):
             self._check_time(float(t))
@@ -286,11 +288,8 @@ def decay_curve(spec: ChainSpec, i: int, grid: NDArray[np.float64]) -> DecayCurv
     """Weighted-norm distance of P_t(i, .) to stationarity over a grid,
     with the theoretical exponential envelope alongside.
 
-    Only row i of P_t is computed: one matrix product on the spectral
-    route, a uniformization sweep on the Pade route (row-vector products
-    with Poisson weights, one dense exponential per grid gap longer than
-    _UNIFORM_TERMS over the largest exit rate).  The envelope rate is the
-    gap from the chain's memoized analysis.
+    Only row i of P_t is computed, by Propagator.row_deviations.  The
+    envelope rate is the gap from the chain's memoized analysis.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
@@ -300,7 +299,7 @@ def decay_curve(spec: ChainSpec, i: int, grid: NDArray[np.float64]) -> DecayCurv
     if not 0 <= i < spec.n:
         raise ErgorateError(f"state {i} out of range for {spec.n} states")
     prop = Propagator(spec)
-    fn = np.abs(prop._row_deviations(i, grid)) @ spec.f
+    fn = np.abs(prop.row_deviations(i, grid)) @ spec.f
     g = chain_analysis(spec).gap
     C = ergodicity_constant(spec.stationary, spec.weight)[i]
     env = C * np.exp(-g * grid)

@@ -537,7 +537,7 @@ def test_verify_lemma_size_below_two_is_an_input_error(capsys, n):
         ("1", "--n needs at least 2 states, got 1"),
         ("21", "--n needs at most 20 states for lemma32, got 21"),
         # a million states once died in numpy with a MemoryError and exit 1
-        ("1000000", "--n needs at most 300 states for lemma31, got 1000000"),
+        ("1000000", "--n needs at most 600 states for lemma31, got 1000000"),
     ],
 )
 def test_verify_lemma_size_is_checked_before_any_check_runs(capsys, monkeypatch, n, message):
@@ -571,6 +571,9 @@ def test_hfunction_closed_form_fails_when_off_by_1e9_relative(capsys, monkeypatc
         ["--n", "21", "--only", "hfunction"],
         # min pi is 4.5e-8: hfunction.closed_form's absolute bound once failed
         ["--n", "200", "--only", "hfunction"],
+        # the cap: hfunction.meanzero once read 1.8e-12 here, over its 1e-12 bound
+        ["--n", "600", "--only", "hfunction"],
+        ["--n", "600", "--only", "lemma31"],
     ],
 )
 def test_verify_lemma_size_above_the_enumeration_cap_runs_the_other_lemma_checks(capsys, argv):

@@ -216,9 +216,38 @@ def test_h_function_rejects_bad_inputs(bd6):
 def test_h_function_definition_matches_entries(bd6):
     s, i = 0.6, 3
     h, _, _ = h_function(bd6, i, s)
-    P = Propagator(bd6).matrix(s)
-    expected = P[i, :] / (bd6.f * bd6.pi) - 1.0 / bd6.f
+    # bd6 is reversible: h_function reads its row at s and 2s in one call
+    expected = Propagator(bd6).row_deviations(i, np.array([s, 2.0 * s]))[0] / (bd6.f * bd6.pi)
     assert np.max(np.abs(h.values - expected)) == 0.0
+
+
+def test_h_function_matches_a_60_digit_reference(bd6):
+    """h, ||h||^2 and the closed form to 1e-12 relative, against mpmath at
+    60 digits.  Q's diagonal and pi are rebuilt in mpmath (row sums of the
+    float diagonal are ~1e-16, which a long-time reference would drift by),
+    pi by the birth-death recursion.  P / (f pi) - 1 / f once lost every
+    digit here: the closed form was off by 2.5 at s = 60."""
+    mp = pytest.importorskip("mpmath")
+    n = bd6.n
+    with mp.workdps(60):
+        Q = mp.matrix(bd6.q.tolist())
+        for k in range(n):
+            Q[k, k] = -mp.fsum(Q[k, j] for j in range(n) if j != k)
+        pi = [mp.mpf(1)]
+        for k in range(n - 1):
+            pi.append(pi[-1] * Q[k, k + 1] / Q[k + 1, k])
+        pi = [p / mp.fsum(pi) for p in pi]
+        f = [mp.mpf(x) for x in bd6.f]
+        for s in (0.6, 5.0, 20.0, 60.0, 120.0):
+            P_s, P_2s = mp.expm(s * Q), mp.expm(2 * s * Q)
+            for i in range(n):
+                h, norm_sq, closed = h_function(bd6, i, s)
+                ref = [P_s[i, j] / (f[j] * pi[j]) - 1 / f[j] for j in range(n)]
+                ref_norm = mp.fsum(f[j] ** 2 * pi[j] * ref[j] ** 2 for j in range(n))
+                ref_closed = P_2s[i, i] / pi[i] - 1
+                assert max(abs((h.values[j] - ref[j]) / ref[j]) for j in range(n)) <= 1e-12
+                assert abs((norm_sq - ref_norm) / ref_norm) <= 1e-12
+                assert abs((closed - ref_closed) / ref_closed) <= 1e-12
 
 
 def test_started_deviation_drives_curve_bound(bd6):

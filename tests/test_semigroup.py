@@ -15,6 +15,7 @@ from conftest import random_detailed_balance, random_irreversible
 
 from ergorate import semigroup
 from ergorate.chain_core import (
+    build_birth_death,
     build_example21,
     chain_spec,
     dual,
@@ -135,6 +136,26 @@ def test_spectral_deviation_keeps_relative_accuracy(ex21):
     dev = prop.deviation(80.0)
     expected = np.exp(-80.0) * (np.eye(3) - np.outer(np.ones(3), ex21.pi))
     assert np.max(np.abs(dev - expected)) <= 1e-12 * np.exp(-80.0)
+
+
+def test_spectral_deviation_rows_are_mean_zero():
+    # the lemma chain of verify --n 300: eigh's zero-mode vector is off
+    # sqrt(pi) enough that the other modes leaked 8.6e-12 into row sums
+    n = 300
+    rng = np.random.default_rng(13)
+    b = rng.uniform(0.5, 2.0, n - 1)
+    d = rng.uniform(0.5, 2.0, n - 1)
+    fw = rng.uniform(1.0, 3.0, n)
+    prop = Propagator(build_birth_death(b, d, fw))
+    assert prop.method == "spectral"
+    assert np.max(np.abs(prop.deviation(0.5).sum(axis=1))) <= 1e-13
+
+
+def test_spectral_matrix_reaches_the_limit_at_the_longest_time(bd6):
+    # the zero mode's eigenvalue is exactly 0: eigh's 2.9e-16 once put
+    # exp(-t lam0) into the limit and P off it by 2e-5 at this time
+    t = 0.9e12 / bd6.rate_matrix.max_rate
+    assert np.max(np.abs(Propagator(bd6).matrix(t) - bd6.pi)) <= 1e-15
 
 
 # ----------------------------------------------------------------- f_norm
@@ -605,7 +626,7 @@ def test_pade_rows_match_spectral_rows(n):
     assert spectral.method == "spectral"
     for i in (0, n - 1):
         pade = semigroup._uniformized_rows(spec.q, i, grid) - spec.pi
-        err = np.abs(pade - spectral._row_deviations(i, grid))
+        err = np.abs(pade - spectral.row_deviations(i, grid))
         assert np.max(err) <= 1e-14
 
 
@@ -650,7 +671,7 @@ def test_stiff_chain_is_uniformized_in_segments(segment_sizes, decomposition_cou
     spec = stiff_chain()
     grid = np.linspace(0.0, 0.05, 200)
     prop = Propagator(spec)
-    rows = prop._row_deviations(0, grid)
+    rows = prop.row_deviations(0, grid)
     assert prop.method == "pade"
     lam = float(np.max(-np.diag(spec.q)))
     assert len(segment_sizes) >= lam * grid[-1] / semigroup._UNIFORM_TERMS > 3
@@ -666,7 +687,7 @@ def test_stiff_chain_takes_coarse_gaps_densely(segment_sizes, decomposition_coun
     spec = stiff_chain()
     grid = np.concatenate([np.linspace(0.0, 0.01, 50), np.geomspace(0.02, 0.5, 8)])
     prop = Propagator(spec)
-    rows = prop._row_deviations(0, grid)
+    rows = prop.row_deviations(0, grid)
     assert segment_sizes and decomposition_counts["expm"] == 8
     full = np.array([prop.deviation(t)[0] for t in grid])
     assert np.abs(full[-1]).max() > 1e-3
