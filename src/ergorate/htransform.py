@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .chain_core import ChainSpec
 from .errors import ErgorateError
-from .semigroup import Propagator, f_norm, opnorm_inf_to_1, opnorm_inf_to_2
+from .semigroup import Propagator, opnorm_inf_to_1, opnorm_inf_to_2
 from .spectral import chain_analysis
 
 # absolute residual (slack, for lemma 3.3) up to which an identity check passes
@@ -172,7 +172,7 @@ def check_lemma33(T: TransformedSemigroup, t: float) -> LemmaReport:
     dev = T.prop.deviation(t)
     lhs = opnorm_inf_to_1(T._conjugate(dev), T.nu)
     spec = T.base
-    rhs = float(sum(spec.pi[i] * spec.f[i] * f_norm(dev[i, :], spec.weight) for i in range(spec.n)))
+    rhs = float((spec.pi * spec.f) @ (np.abs(dev) @ spec.f))
     slack = lhs - rhs
     return LemmaReport("lemma33", {"t": t}, float(lhs), float(rhs), float(slack), slack <= LEMMA_TOL)
 

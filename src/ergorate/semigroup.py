@@ -3,12 +3,12 @@
 The transition semigroup P_t = exp(tQ) has one propagator per chain, and
 the chain's detailed-balance verdict picks its route.  A reversible chain
 takes the spectral route: the eigen-expansion of the symmetrized
-generator, which yields the deviation P_t - limit with *relative*
-accuracy at any magnitude, since the stationary mode is removed
-analytically.  Any other chain takes the Pade route: the deviation is
-obtained by subtraction, so its noise floor is absolute, near 1e-14.
-The verdict and the expansion's factors come from the chain's memoized
-analysis (spectral.chain_analysis), so they are computed once per chain.
+generator's n - 1 decaying modes, which yields the deviation P_t - pi
+with *relative* accuracy at any magnitude.  Any other chain takes the
+Pade route: the deviation is obtained by subtraction, so its noise floor
+is absolute, near 1e-14.  On both, P_t is the deviation plus pi.  The
+verdict and the expansion come from the chain's memoized analysis
+(spectral.chain_analysis), so they are computed once per chain.
 
 Decay curves need only the start state's row of P_t.  The spectral route
 evaluates every grid time in one (G x n) @ (n x n) product.  The Pade
@@ -24,7 +24,7 @@ carries no cancellation.
 scipy is imported only inside the functions that take a dense
 exponential: the Pade route's matrix/deviation, a decay curve's long
 gaps, and the dual-semigroup cross-check of mu_ft_norm.  Importing
-ergorate, everything computed from the eigensystem alone, and decay
+ergorate, everything computed from the expansion alone, and decay
 curves on non-stiff chains load numpy only, which more than halves the
 start-up cost of a CLI call.  The calls go through the module attribute
 scipy.linalg.expm, so patching it counts them.
@@ -125,10 +125,11 @@ class Propagator:
     ``method``: "spectral" on a reversible chain, "pade" otherwise.  The
     verdict and the spectral factors are read from the chain's memoized
     analysis, so building a propagator does no O(n^2) work and every
-    propagator of one spec shares one decomposition, whose zero mode is
-    exact.  ``matrix`` and ``deviation`` return full n x n matrices, for
-    the identity checks and ``verify``.  ``row_deviations`` is the one
-    row path, read by decay curves and h_function.
+    propagator of one spec shares one expansion of the decaying modes.
+    ``deviation`` returns the full n x n P_t - pi, and ``matrix`` adds
+    pi to it, for the identity checks and ``verify``.
+    ``row_deviations`` is the one row path, read by decay curves and
+    h_function.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -150,26 +151,20 @@ class Propagator:
             raise Overflow(f"time-rate product {t * self.spec.rate_matrix.max_rate:.3e} too large")
 
     def matrix(self, t: float) -> NDArray[np.float64]:
-        """The transition matrix exp(tQ), as computed."""
-        self._check_time(t)
-        if self.method == "spectral":
-            return (self._psi * np.exp(-t * self._lam)[None, :]) @ self._phi
-        import scipy.linalg
-
-        return scipy.linalg.expm(t * self.spec.q)
+        """The transition matrix exp(tQ), as deviation(t) + pi."""
+        return self.deviation(t) + self.spec.pi
 
     def deviation(self, t: float) -> NDArray[np.float64]:
         """exp(tQ) minus the rank-one stationary limit.
 
-        On the spectral route the zero mode is dropped analytically, so
+        On the spectral route only the decaying modes are summed, so
         entries keep full relative accuracy however small they are; on
         the Pade route the limit is subtracted numerically and accuracy
         is absolute (~1e-14).
         """
         self._check_time(t)
         if self.method == "spectral":
-            decay = np.exp(-t * self._lam[1:])
-            return (self._psi[:, 1:] * decay[None, :]) @ self._phi[1:, :]
+            return (self._psi * np.exp(-t * self._lam)[None, :]) @ self._phi
         import scipy.linalg
 
         return scipy.linalg.expm(t * self.spec.q) - self.spec.pi
@@ -185,8 +180,7 @@ class Propagator:
         for t in (times[0], times[-1]):
             self._check_time(float(t))
         if self.method == "spectral":
-            decay = np.exp(-np.outer(times, self._lam[1:]))
-            return (self._psi[i, 1:] * decay) @ self._phi[1:, :]
+            return (self._psi[i] * np.exp(-np.outer(times, self._lam))) @ self._phi
         return _uniformized_rows(self.spec.q, i, times) - self.spec.pi
 
 

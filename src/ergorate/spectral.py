@@ -19,11 +19,11 @@ functions gap, eigenvalues and true_decay_rate read a fresh
 ChainAnalysis(Q, pi, tol), so they equal the report's fields exactly.
 Per chain, the analysis is memoized on the ChainSpec (chain_analysis);
 spectral_report, the propagator, decay curves and the CLI read it.
-Reversible (at the spec's rev_tol): one eigh, whose vectors the spectral
-route needs; the gap and the real spectrum are read from it, so the
-slowest mode of the spectrum is the gap exactly.  Irreversible: one
-values-only eigvalsh for the gap (no eigenvector enters it, and the Pade
-route reads none) and one general eigvals of Q for the spectrum.
+Reversible (at the spec's rev_tol): one eigh, kept as the expansion of
+the n - 1 decaying modes; the gap and the real spectrum, an exact 0 then
+the decaying rates, are read from it.  Irreversible: one values-only
+eigvalsh for the gap (no eigenvector enters it, and the Pade route
+reads none) and one general eigvals of Q for the spectrum.
 """
 
 from __future__ import annotations
@@ -153,23 +153,22 @@ class ChainAnalysis:
 
     - ``reversible``/``violation``: the detailed-balance test at
       ``tol.rev_tol``, the spec's own.
-    - ``eigensystem``: (lam, V, d) of symmetric_eigendecomposition(Q, pi).
-      Read by ``gap``, ``spectrum`` and ``expansion`` on a reversible
-      chain only: on an irreversible one it expands the
-      reversibilization, not Q.
-    - ``expansion``: (lam, psi, phi) with psi = V / d and phi = (V d)^T,
-      so P_t = psi diag(exp(-t lam)) phi on a reversible chain, with the
-      zero mode exact (0, d) and V's other columns projected orthogonal to
-      d.  The spectral propagator reads it, so every propagator of one
-      chain shares these two n x n factors.
-    - ``gap``: lam[1] of the pi-symmetrized generator.  Reversible: read
-      from ``eigensystem``.  Irreversible: one values-only eigvalsh of the
-      same matrix, since no eigenvector enters the gap and the Pade route
-      reads none.
+    - ``expansion``: the n - 1 decaying modes of the one eigh
+      (symmetric_eigendecomposition), (lam[1:], W / d, (W d)^T) with W
+      the columns V[:, 1:] projected orthogonal to d = sqrt(pi), so
+      P_t - pi = (W / d) diag(exp(-t lam[1:])) (W d)^T on a reversible
+      chain.  The stationary mode is not stored.  Read on a reversible
+      chain only: on an irreversible one it would expand the
+      reversibilization, not Q.  The spectral propagator reads it, so
+      every propagator of one chain shares these two factors.
+    - ``gap``: lam[1] of the pi-symmetrized generator.  Reversible: the
+      first decaying rate of ``expansion``.  Irreversible: one
+      values-only eigvalsh of the same matrix, since no eigenvector
+      enters the gap and the Pade route reads none.
     - ``spectrum``: the spectrum of Q, sorted by descending real part then
       ascending imaginary part, with exactly one zero eigenvalue.
-      Reversible: -lam of ``eigensystem``, real.  Irreversible: one
-      eigvals of Q.
+      Reversible: an exact 0, then minus the rates of ``expansion``,
+      real.  Irreversible: one eigvals of Q.
     - ``true_decay_rate``: minus the largest real part over the nonzero
       spectrum; equal to ``gap`` exactly on a reversible chain.
 
@@ -196,35 +195,26 @@ class ChainAnalysis:
         return self._verdict[1]
 
     @cached_property
-    def eigensystem(
-        self,
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-        return symmetric_eigendecomposition(self.rate_matrix, self.stationary)
-
-    @cached_property
     def expansion(
         self,
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-        lam, V, d = self.eigensystem
+        lam, V, d = symmetric_eigendecomposition(self.rate_matrix, self.stationary)
         # eigh's V[:, 0] misses d by up to 4e-10 at n = 1000: 8.5e-9 in deviation row sums
-        V = V - np.outer(d, d @ V)
-        V[:, 0] = d
-        lam = np.concatenate(([0.0], lam[1:]))
-        return lam, V / d[:, None], (V * d[:, None]).T
+        W = V[:, 1:] - np.outer(d, d @ V[:, 1:])
+        return lam[1:], W / d[:, None], (W * d[:, None]).T
 
     @cached_property
     def gap(self) -> float:
         if self.reversible:
-            return float(self.eigensystem[0][1])
+            return float(self.expansion[0][0])
         lam, _, _ = symmetric_eigendecomposition(self.rate_matrix, self.stationary, vectors=False)
         return float(lam[1])
 
     @cached_property
     def spectrum(self) -> tuple[complex, ...]:
         if self.reversible:
-            # lam ascending: -lam is already in descending order; 0.0 - lam
-            # keeps an exact zero mode +0.0 (unary minus would print -0.0)
-            return tuple((0.0 - self.eigensystem[0]).astype(complex).tolist())
+            # the rates ascend, so their negatives already descend
+            return (0j, *(-self.expansion[0]).astype(complex).tolist())
         try:
             lam = np.linalg.eigvals(self.rate_matrix.q)
         except np.linalg.LinAlgError as exc:
@@ -250,9 +240,10 @@ def chain_analysis(spec: ChainSpec) -> ChainAnalysis:
 
 def ergodicity_constant(pi: Distribution, f: WeightFunction) -> NDArray[np.float64]:
     """Per-state constant sqrt(pi(f^2)) * sqrt(1/pi_i - 1) of the
-    exponential convergence bound on the weighted norm."""
-    mass_f2 = float(np.dot(pi.p, f.f**2))
-    return np.sqrt(mass_f2) * np.sqrt(1.0 / pi.p - 1.0)
+    exponential convergence bound on the weighted norm, with f scaled by
+    its max m inside the root so that f_i^2 may overflow."""
+    m = float(f.f.max())
+    return m * np.sqrt(float(np.dot(pi.p, (f.f / m) ** 2))) * np.sqrt(1.0 / pi.p - 1.0)
 
 
 def spectral_report(spec: ChainSpec) -> SpectralReport:
@@ -261,9 +252,10 @@ def spectral_report(spec: ChainSpec) -> SpectralReport:
     The certified rate equals the gap in both directions for reversible
     chains and is a lower bound for irreversible ones; the slowest true
     decay mode is always reported alongside.  Reads the chain's memoized
-    ChainAnalysis.  Reversible: one eigh per spec, and the reported
-    eigenvalues are those of the symmetrized generator (judged at the
-    spec's rev_tol).  Irreversible: one eigvalsh and one eigvals.
+    ChainAnalysis.  Reversible (judged at the spec's rev_tol): one eigh
+    per spec, and the eigenvalues are an exact 0 and minus the
+    symmetrized generator's decaying rates.  Irreversible: one eigvalsh
+    and one eigvals.
     """
     a = chain_analysis(spec)
     return SpectralReport(

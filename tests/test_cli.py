@@ -102,6 +102,20 @@ def test_rate_exceeds_gap_keeps_its_verdict_under_scaling(capsys, tmp_path, chai
     assert blob["rate_exceeds_gap"] is exceeds
 
 
+def test_analyze_constants_stay_finite_for_a_huge_weight(capsys):
+    # f = 1e200 squares past the double range; the constants must not print Infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "analyze", "--family", "example21", "--pi", "0.5,0.5", "--beta", "1e200")
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    rep = json.loads(out, parse_constant=refuse)
+    assert rep["constants"] == pytest.approx([np.sqrt(0.5) * 1e200] * 2, rel=1e-15)
+
+
 def test_analyze_requires_chain(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 2

@@ -608,6 +608,14 @@ def test_irreversible_chain_propagates_q_itself(ex22):
     assert np.max(np.abs(prop.matrix(1.0) - scipy.linalg.expm(ex22.q))) <= 1e-14
 
 
+@pytest.mark.parametrize("chain", ["bd6", "dense", "ex22"])
+def test_matrix_is_deviation_plus_pi(request, chain):
+    spec = dense_chain(True, ABOVE) if chain == "dense" else request.getfixturevalue(chain)
+    prop = Propagator(spec)
+    for t in (0.0, 0.3, 4.0):
+        assert np.array_equal(prop.matrix(t), prop.deviation(t) + spec.pi)
+
+
 def test_propagators_of_one_chain_share_the_expansion(decomposition_counts):
     spec = dense_chain(True, ABOVE)
     first, second = Propagator(spec), Propagator(spec)

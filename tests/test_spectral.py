@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -146,6 +147,17 @@ def test_eigenvalues_reversible_are_real(bd6):
     assert max(abs(z.imag) for z in lam) <= 1e-9
 
 
+def test_reversible_spectrum_is_an_exact_zero_then_the_decaying_rates(bd6):
+    lam, _, _ = symmetric_eigendecomposition(bd6.rate_matrix, bd6.stationary)
+    ev = spectral_report(bd6).eigenvalues
+    # eigh's own lam[0] is rounding noise (-2.9e-16 here); the report's zero is exact
+    assert ev[0] == 0j and np.copysign(1.0, ev[0].real) == 1.0
+    assert np.array_equal(np.array(ev[1:]), (-lam[1:]).astype(complex))
+    # the expansion holds only the n - 1 decaying modes
+    rates, psi, phi = chain_analysis(bd6).expansion
+    assert rates.shape == (bd6.n - 1,) and psi.shape == (bd6.n, bd6.n - 1) == phi.T.shape
+
+
 def test_eigenvalues_nonzero_have_negative_real_part(ex22, bd6):
     for spec in (ex22, bd6):
         lam = eigenvalues(spec.rate_matrix, spec.stationary)
@@ -230,6 +242,15 @@ def test_ergodicity_constant_unit_weight_uniform():
     n = 4
     C = ergodicity_constant(distribution([1.0 / n] * n), weight_function([1.0] * n))
     assert np.allclose(C, np.sqrt(n - 1.0))
+
+
+def test_ergodicity_constant_survives_a_weight_whose_square_overflows():
+    spec = build_example21([0.5, 0.5], 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = ergodicity_constant(spec.stationary, spec.weight)
+    # pi(f^2) = (1 + 1e400) / 2 and 1/pi_i - 1 = 1
+    assert np.allclose(C, np.sqrt(0.5) * 1e200, rtol=1e-15, atol=0.0)
 
 
 # -------------------------------------------------------------------- report
