@@ -43,8 +43,9 @@ class EigenFailure(ErgorateError):
 
 class Overflow(ErgorateError):
     """A run too large to carry out: a time-rate product too large for the
-    matrix-exponential method, or a sampler run expected to draw more
-    jumps than its bound."""
+    matrix-exponential method, a sampler run expected to draw more
+    jumps than its bound, or a reference measure f^2 pi outside the
+    double range."""
 
 
 class InsufficientData(ErgorateError):

@@ -11,18 +11,30 @@ law and nu-self-adjointness of the conjugated family, the equality of
 its infinity-to-2 norm at t with the infinity-to-1 norm at 2t, the
 bound of the infinity-to-1 norm by the pi-f-averaged decay curve, and
 the closed form of || h_s ||^2 under reversibility.
+
+Two of these numbers do not depend on f, and are formed without it, so
+they stay finite for any weight.  With d = P_s(i, .) - pi,
+|| h_s ||^2_{L2(nu)} = sum_j f_j^2 pi_j (d_j / (f_j pi_j))^2 is
+sum_j d_j^2 / pi_j: the weight cancels term by term.  The L2(nu)
+operator norm of Pf_t - pif = diag(1/f) (P_t - pi) diag(f) is that of
+diag(sqrt(nu)) (Pf_t - pif) diag(1/sqrt(nu)), and with sqrt(nu) = f sqrt(pi)
+the f's cancel, leaving diag(sqrt(pi)) (P_t - pi) diag(1/sqrt(pi)).  The
+checks that weigh by nu itself (the symmetry residual of lemma 3.1 and
+lemmas 3.2 and 3.3) raise ``Overflow`` once f^2 pi leaves the double
+range, where they could only report inf or nan.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .chain_core import ChainSpec
-from .errors import ErgorateError
+from .errors import ErgorateError, Overflow
 from .semigroup import Propagator, opnorm_inf_to_1, opnorm_inf_to_2
 from .spectral import chain_analysis
 
@@ -77,7 +89,17 @@ class TransformedSemigroup:
     def __init__(self, spec: ChainSpec):
         self.base = spec
         self.prop = Propagator(spec)
-        self.nu = spec.f**2 * spec.pi
+
+    @cached_property
+    def nu(self) -> NDArray[np.float64]:
+        """Reference measure f^2 pi, formed on first use; ``Overflow`` when
+        an entry leaves the double range, where every nu-weighted residual
+        would be inf or nan."""
+        with np.errstate(over="ignore"):
+            nu = self.base.f**2 * self.base.pi
+        if not np.all(np.isfinite(nu)):
+            raise Overflow(f"reference measure nu = f^2 pi overflows (largest f {self.base.f.max():.3e})")
+        return nu
 
     def _conjugate(self, M: NDArray[np.float64]) -> NDArray[np.float64]:
         """diag(1/f) M diag(f)."""
@@ -181,12 +203,15 @@ def h_function(spec: ChainSpec, i: int, s: float) -> tuple[HFunction, float, flo
     """The started deviation h_s(i, .) and its squared L2(nu) norm.
 
     Returns (h, norm_sq_direct, norm_sq_closed), read from one O(n^2)
-    Propagator.row_deviations call: h = (P_s(i, .) - pi) / (f pi), and on
-    a reversible chain the closed form P_{2s}(i,i)/pi_i - 1, taken as
-    (P_{2s}(i,i) - pi_i) / pi_i (None otherwise).  Deviations keep the
-    spectral route's relative accuracy, which P / (f pi) - 1 / f cancels
-    away at large s, so direct and closed agree to solver precision: the
-    cancellation the convergence proof exploits.
+    Propagator.row_deviations call of the row's deviation d = P_s(i, .) - pi:
+    h = d / (f pi), norm_sq_direct = sum_j d_j^2 / pi_j, and on a
+    reversible chain the closed form P_{2s}(i,i)/pi_i - 1, taken as
+    (P_{2s}(i,i) - pi_i) / pi_i (None otherwise).  The norm is formed
+    without f: in sum_j f_j^2 pi_j h_j^2 the weight cancels exactly, so
+    it stays finite for any weight.  Deviations keep the spectral route's
+    relative accuracy, which P / (f pi) - 1 / f cancels away at large s,
+    so direct and closed agree to solver precision: the cancellation the
+    convergence proof exploits.
     """
     if s <= 0.0:
         raise ErgorateError(f"start time must be positive, got {s}")
@@ -195,7 +220,7 @@ def h_function(spec: ChainSpec, i: int, s: float) -> tuple[HFunction, float, flo
     reversible = chain_analysis(spec).reversible
     dev = Propagator(spec).row_deviations(i, np.array([s, 2.0 * s] if reversible else [s]))
     values = dev[0] / (spec.f * spec.pi)
-    norm_sq = float(np.dot(spec.f**2 * spec.pi, values**2))
+    norm_sq = float(np.dot(dev[0], dev[0] / spec.pi))
     closed = float(dev[1, i] / spec.pi[i]) if reversible else None
     return HFunction(s=float(s), i=int(i), values=values), norm_sq, closed
 
@@ -205,13 +230,15 @@ def measured_l2_rate(T: TransformedSemigroup, t: float) -> float:
     operator L2(nu) norm: -log ||Pf_t - pif||_{2(nu)} / t.
 
     The L2(nu) operator norm is the largest singular value of the
-    deviation conjugated by sqrt(nu).  For reversible chains this equals
-    the variational gap exactly.
+    deviation conjugated by sqrt(nu) = f sqrt(pi), whose f cancels the
+    conjugation's exactly: it is taken from diag(sqrt(pi)) (P_t - pi)
+    diag(1/sqrt(pi)), with no f formed.  For reversible chains this
+    equals the variational gap exactly.
     """
     if t <= 0.0:
         raise ErgorateError("need t > 0 to measure a rate")
-    root = np.sqrt(T.nu)
-    M = (root[:, None] * T.pf_deviation(t)) / root[None, :]
+    root = np.sqrt(T.base.pi)
+    M = (root[:, None] * T.prop.deviation(t)) / root[None, :]
     sigma = float(np.linalg.norm(M, ord=2))
     if sigma <= 0.0:
         raise ErgorateError("deviation norm underflowed; choose a smaller t")

@@ -39,7 +39,6 @@ peak only, which restores an exactly log-linear point set.
 
 from __future__ import annotations
 
-import io
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -517,8 +516,7 @@ def opnorm_inf_to_2(A: NDArray[np.float64], nu: NDArray[np.float64]) -> float:
 def decay_curve_to_csv(curve: DecayCurve) -> str:
     """Serialize a decay curve to CSV with header t,fnorm,envelope at
     full double precision."""
-    buf = io.StringIO()
-    buf.write("t,fnorm,envelope\n")
-    for t, fn, env in zip(curve.times, curve.fnorms, curve.envelope):
-        buf.write(f"{t:.17g},{fn:.17g},{env:.17g}\n")
-    return buf.getvalue()
+    row = "{:.17g},{:.17g},{:.17g}\n".format
+    return "t,fnorm,envelope\n" + "".join(
+        map(row, curve.times.tolist(), curve.fnorms.tolist(), curve.envelope.tolist())
+    )

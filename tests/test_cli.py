@@ -263,6 +263,19 @@ def test_simulate_csv(capsys):
     assert data[-1, 0] == pytest.approx(2.0)
 
 
+def test_simulate_stderrs_stay_finite_for_a_huge_weight(capsys, tmp_path):
+    # f up to 1e200 squares past the double range; the stderrs once printed nan
+    path = write_chain(
+        tmp_path, "c.json", {"Q": [[-1.0, 0.5, 0.5], [1.0, -2.0, 1.0], [0.5, 0.5, -1.0]], "f": [1, 1e100, 1e200]}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "simulate", "--input", path, "--points", "5", "--paths", "500")
+    assert code == 0
+    data = np.loadtxt(out.strip().split("\n")[1:], delimiter=",")
+    assert np.all(np.isfinite(data)) and np.all(data[1:, 2] > 0.0)
+
+
 def test_simulate_reproducible(capsys):
     args = ["simulate", *EX21_ARGS, "--points", "3", "--paths", "100", "--tmax", "1", "--seed", "9"]
     _, out1, _ = run(capsys, *args)

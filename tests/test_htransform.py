@@ -11,8 +11,10 @@ from ergorate.chain_core import (
     build_birth_death,
     build_example21,
     build_example22,
+    chain_spec,
+    weight_function,
 )
-from ergorate.errors import ErgorateError, TooLarge
+from ergorate.errors import ErgorateError, Overflow, TooLarge
 from ergorate.htransform import (
     TransformedSemigroup,
     check_lemma31,
@@ -306,6 +308,65 @@ def test_measured_l2_rate_irreversible_at_least_gap(ex22):
     T = transform(ex22)
     g = gap(ex22.rate_matrix, ex22.stationary)
     assert measured_l2_rate(T, 25.0) >= g - 1e-3
+
+
+# ------------------------------------------------------------ huge weights
+
+def lemma_chain(n):
+    """The seed-13 birth-death chain ``ergorate verify --n`` checks."""
+    rng = np.random.default_rng(13)
+    b = rng.uniform(0.5, 2.0, n - 1)
+    d = rng.uniform(0.5, 2.0, n - 1)
+    return build_birth_death(b, d, rng.uniform(1.0, 3.0, n))
+
+
+def battery_example21_n7():
+    p = np.random.default_rng(90210).uniform(0.5, 1.5, 7)
+    return build_example21(p / p.sum(), 3.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_birth_death([1.0, 2.0, 0.5, 1.5, 1.0], [1.0, 1.0, 2.0, 0.5, 1.0], [1, 2, 1, 3, 1, 2]),
+        lambda: build_example21([0.5, 0.25, 0.25], 2.0),
+        battery_example21_n7,
+        lambda: lemma_chain(6),
+        lambda: lemma_chain(50),
+        lambda: lemma_chain(300),
+        lambda: lemma_chain(600),
+    ],
+    ids=["bd6", "example21.n3", "example21.n7", "lemma.n6", "lemma.n50", "lemma.n300", "lemma.n600"],
+)
+def test_f_free_numbers_are_bit_identical_under_a_huge_weight(build):
+    """||h_s||^2, its closed form and the L2(nu) rate do not depend on f,
+    and are formed without it: f -> 1e200 f, whose square overflows,
+    leaves them bit-identical (they were nan before)."""
+    spec = build()
+    big = chain_spec(spec.rate_matrix, weight_function(1e200 * spec.f), pi=spec.stationary)
+    for i in sorted({0, spec.n // 2, spec.n - 1}):
+        for s in (0.25, 0.8):
+            _, norm_sq, closed = h_function(spec, i, s)
+            _, norm_sq_big, closed_big = h_function(big, i, s)
+            assert norm_sq_big == norm_sq and np.isfinite(norm_sq)
+            assert closed_big == closed
+    rate = measured_l2_rate(transform(spec), 0.5)
+    assert measured_l2_rate(transform(big), 0.5) == rate
+    assert abs(rate - gap(spec.rate_matrix, spec.stationary)) <= 1e-9
+
+
+def test_nu_weighted_checks_raise_overflow_when_nu_leaves_the_double_range():
+    spec = build_example21([0.5, 0.25, 0.25], 1e200)  # nu = 2.5e399 at states 1, 2
+    T = transform(spec)  # building it reads no nu
+    g = np.array([1.0, -1.0, 0.5])
+    with pytest.raises(Overflow, match=r"nu = f\^2 pi overflows \(largest f 1.000e\+200\)"):
+        T.nu
+    with pytest.raises(Overflow):
+        check_lemma31(T, 0.7, 0.3, g, g)
+    with pytest.raises(Overflow):
+        check_lemma32(T, 0.5)
+    with pytest.raises(Overflow):
+        check_lemma33(T, 0.5)
 
 
 # ------------------------------------------------------------------- JSON

@@ -1,5 +1,8 @@
 """Invariances the theory guarantees, on random reversible and
-irreversible chains: rescaling time (Q -> cQ) and relabelling states.
+irreversible chains: rescaling time (Q -> cQ), relabelling states, and
+rescaling the weight (f -> cf), under which ||h_s||^2, its reversible
+closed form and the L2(nu) rate do not move by a bit and the weighted
+norms and constants scale by c.
 
 Fitted rates are left out: the default time grid is not yet scale
 invariant (ROADMAP item 3c), so a fit over it is not either.
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import random_detailed_balance, random_irreversible
 
 from ergorate.chain_core import chain_spec, validate, weight_function
+from ergorate.htransform import h_function, measured_l2_rate, transform
 from ergorate.semigroup import decay_curve
 from ergorate.spectral import spectral_report
 
@@ -81,4 +85,24 @@ def test_permuting_states_permutes_every_output(chain):
             decay_curve(spec, int(perm[k]), grid).fnorms,
             rtol=TOL,
             atol=TOL,
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=chains, c=st.sampled_from([2.0**-20, 3.0, 1e200]))
+def test_rescaling_the_weight_scales_every_weighted_number(chain, c):
+    _, q, f = random_chain(**chain)
+    f = f * max(1.0, 1.0 / c)  # both weights >= 1
+    spec, scaled = build(q, f), build(q, c * f)
+    rep, rep_c = spectral_report(spec), spectral_report(scaled)
+    # the f-free numbers are formed without f: bit-identical even where (cf)^2 overflows
+    s = 1.0 / rep.true_decay_rate
+    for i in range(spec.n):
+        assert h_function(scaled, i, s)[1:] == h_function(spec, i, s)[1:]
+    assert measured_l2_rate(transform(scaled), s) == measured_l2_rate(transform(spec), s)
+    np.testing.assert_allclose(rep_c.constants, c * rep.constants, rtol=1e-14, atol=0.0)
+    grid = grid_for(rep)
+    for i in range(spec.n):
+        np.testing.assert_allclose(
+            decay_curve(scaled, i, grid).fnorms, c * decay_curve(spec, i, grid).fnorms, rtol=1e-14, atol=0.0
         )

@@ -428,6 +428,29 @@ def test_empirical_fnorm_matches_the_per_time_loop(ex21, bd6):
         assert np.max(np.abs(emp.stderrs - se)) <= tol
 
 
+@pytest.mark.parametrize("c", [3.0, 1e200])
+def test_empirical_fnorm_scales_with_the_weight(bd6, c):
+    """f -> c f scales the estimates and their standard errors by c; the
+    errors are formed in units of max f, so c = 1e200, whose f^2
+    overflows, gives finite errors (nan before)."""
+    times = np.array([0.0, 0.3, 1.0, 4.0])
+    ens = sample_paths(bd6, 0, times, 2000, seed=11)
+    emp = empirical_fnorm(ens, bd6.stationary, bd6.weight)
+    scaled = empirical_fnorm(ens, bd6.stationary, weight_function(c * bd6.f))
+    assert np.all(np.isfinite(scaled.stderrs)) and np.all(emp.stderrs[1:] > 0.0)
+    np.testing.assert_allclose(scaled.estimates, c * emp.estimates, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(scaled.stderrs, c * emp.stderrs, rtol=1e-14, atol=0.0)
+
+
+def test_empirical_csv_is_the_f_string_of_each_row():
+    values = np.array([0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e300, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(3)
+    cols = [rng.permutation(values) for _ in range(3)]
+    emp = montecarlo.EmpiricalDecay(*cols)
+    rows = "".join(f"{t:.17g},{e:.17g},{s:.17g}\n" for t, e, s in zip(*cols))
+    assert empirical_to_csv(emp) == "t,fnorm_est,stderr\n" + rows
+
+
 def test_empirical_csv_format(ex21):
     ens = sample_paths(ex21, 0, np.array([0.0, 0.5]), 50, seed=1)
     emp = empirical_fnorm(ens, ex21.stationary, ex21.weight)

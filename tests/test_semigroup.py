@@ -736,6 +736,15 @@ def test_decay_curve_csv_round_trip(ex21):
     assert np.allclose(data[:, 2], curve.envelope, rtol=1e-16)
 
 
+def test_decay_curve_csv_is_the_f_string_of_each_row(ex21):
+    values = np.array([0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e300, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(3)
+    t, fn, env = (rng.permutation(values) for _ in range(3))
+    curve = replace(decay_curve(ex21, 0, np.arange(9.0)), times=t, fnorms=fn, envelope=env)
+    rows = "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(t, fn, env))
+    assert decay_curve_to_csv(curve) == "t,fnorm,envelope\n" + rows
+
+
 # --------------------------------------------------------------- property
 
 @settings(max_examples=20, deadline=None)
