@@ -212,11 +212,12 @@ def h_function(spec: ChainSpec, i: int, s: float) -> tuple[HFunction, float, flo
     relative accuracy, which P / (f pi) - 1 / f cancels away at large s,
     so direct and closed agree to solver precision: the cancellation the
     convergence proof exploits.
+
+    A start time s <= 0 is refused here; row_deviations checks the state
+    and refuses a non-finite s or one past the time-rate bound.
     """
     if s <= 0.0:
         raise ErgorateError(f"start time must be positive, got {s}")
-    if not 0 <= i < spec.n:
-        raise ErgorateError(f"state {i} out of range for {spec.n} states")
     reversible = chain_analysis(spec).reversible
     dev = Propagator(spec).row_deviations(i, np.array([s, 2.0 * s] if reversible else [s]))
     values = dev[0] / (spec.f * spec.pi)

@@ -17,7 +17,7 @@ exit rate, P = I + Q / Lam is stochastic and entrywise nonnegative, and
 e_i exp(tQ) = sum_k Pois(k; Lam t) e_i P^k.  Walking the grid, every
 time within _UNIFORM_TERMS / Lam of the last time reached comes from one
 sequence of row-vector products, weighted by Poisson probabilities
-computed in log space; a longer gap is taken with one dense
+from the pmf recurrence; a longer gap is taken with one dense
 scaling-and-squaring exponential.  Every term is nonnegative, so the row
 carries no cancellation.
 
@@ -142,12 +142,20 @@ class Propagator:
             self.method = "pade"
             self.noise_floor = _PADE_FLOOR
 
-    def _check_time(self, t: float) -> None:
-        # written so that NaN fails; +inf fails the time-rate bound below
-        if not t >= 0.0:
-            raise ErgorateError(f"time must be nonnegative, got {t}")
-        if t * self.spec.rate_matrix.max_rate > _MAX_TIME_RATE:
-            raise Overflow(f"time-rate product {t * self.spec.rate_matrix.max_rate:.3e} too large")
+    def _checked(self, i: int, times) -> NDArray[np.float64]:
+        """``times`` as a float vector, once ``i`` and ``times`` pass the
+        row path's contract (see row_deviations)."""
+        if not 0 <= i < self.spec.n:
+            raise ErgorateError(f"state {i} out of range for {self.spec.n} states")
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+            raise ErgorateError("time grid must be a nonempty vector of finite times")
+        if np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
+            raise ErgorateError("time grid must be strictly increasing and nonnegative")
+        top = times[-1] * self.spec.rate_matrix.max_rate
+        if top > _MAX_TIME_RATE:
+            raise Overflow(f"time-rate product {top:.3e} too large")
+        return times
 
     def matrix(self, t: float) -> NDArray[np.float64]:
         """The transition matrix exp(tQ), as deviation(t) + pi."""
@@ -159,9 +167,10 @@ class Propagator:
         On the spectral route only the decaying modes are summed, so
         entries keep full relative accuracy however small they are; on
         the Pade route the limit is subtracted numerically and accuracy
-        is absolute (~1e-14).
+        is absolute (~1e-14).  ``t`` is checked as a one-time grid, so a
+        non-scalar, negative, non-finite or too large time is refused.
         """
-        self._check_time(t)
+        t = self._checked(0, [t])[0]
         if self.method == "spectral":
             return (self._psi * np.exp(-t * self._lam)[None, :]) @ self._phi
         import scipy.linalg
@@ -175,9 +184,13 @@ class Propagator:
         one O(G n^2) product on the spectral route; on the Pade route
         row-vector products with Poisson weights, and one dense exponential
         per grid gap longer than _UNIFORM_TERMS over the largest exit rate.
+
+        This is where the row path's input is checked, for decay_curve and
+        h_function alike: ``ErgorateError`` unless 0 <= i < n and ``times``
+        is a nonempty vector of finite, nonnegative, strictly increasing
+        times, and ``Overflow`` past the time-rate bound.
         """
-        for t in (times[0], times[-1]):
-            self._check_time(float(t))
+        times = self._checked(i, times)
         if self.method == "spectral":
             return (self._psi[i] * np.exp(-np.outer(times, self._lam))) @ self._phi
         return _uniformized_rows(self.spec.q, i, times) - self.spec.pi
@@ -185,28 +198,16 @@ class Propagator:
 
 def _poisson_weights(mu: NDArray[np.float64]) -> NDArray[np.float64]:
     """Poisson probabilities Pois(k; mu_g), shape (K, G): one column per
-    mean, k = 0..K-1.
+    mean, k = 0..K-1, by the pmf recurrence w_0 = e^-mu, w_k = w_{k-1} mu / k.
 
-    K is the first count whose upper tail, for the largest mean, holds
-    less than _POISSON_TAIL; smaller means have smaller tails.  The
-    log-weights are summed outward from each column's mode, log(mu / j)
-    one term at a time, so the partial sums stay small where the weights
-    matter, e^-mu never underflows, and mu = 0 gives the unit weight at
-    k = 0.  Each column is normalized by its sum.
+    A segment's mean is at most _UNIFORM_TERMS = 100, so e^-mu >= 3.7e-44
+    cannot underflow.  K is the first count whose upper tail, for the
+    largest mean, holds less than _POISSON_TAIL; smaller means have
+    smaller tails.  Each column is normalized by its sum.
     """
     top = float(mu.max())
-    # by a Chernoff bound the tail past this count is below 1e-18 for any
-    # mean up to 1e4, far above the _UNIFORM_TERMS a segment spans
-    k = np.arange(int(np.ceil(top + 9.0 * np.sqrt(top))) + 40)[:, None]
-    mode = np.floor(mu)
-    with np.errstate(divide="ignore"):
-        r = np.log(mu / np.maximum(k, 1))
-    # log(w_k / w_mode): above the mode the sum of r_j over mode < j <= k,
-    # below it minus the sum over k < j <= mode
-    above = np.cumsum(np.where(k > mode, r, 0.0), axis=0)
-    below = np.zeros_like(above)
-    below[:-1] = np.cumsum(np.where(k <= mode, r, 0.0)[:0:-1], axis=0)[::-1]
-    w = np.exp(above - below)
+    k = np.arange(1, int(np.ceil(top + 9.0 * np.sqrt(top))) + 40)[:, None]
+    w = np.cumprod(np.vstack([np.exp(-mu), mu / k]), axis=0)
     w /= w.sum(axis=0)
     tail = np.cumsum(w[::-1, -1])[::-1]
     return w[: int(np.argmax(tail < _POISSON_TAIL))]
@@ -281,16 +282,11 @@ def decay_curve(spec: ChainSpec, i: int, grid: NDArray[np.float64]) -> DecayCurv
     """Weighted-norm distance of P_t(i, .) to stationarity over a grid,
     with the theoretical exponential envelope alongside.
 
-    Only row i of P_t is computed, by Propagator.row_deviations.  The
-    envelope rate is the gap from the chain's memoized analysis.
+    Only row i of P_t is computed, by Propagator.row_deviations, which
+    also checks the state and the grid.  The envelope rate is the gap
+    from the chain's memoized analysis.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ErgorateError("time grid must be a nonempty vector of finite times")
-    if np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
-        raise ErgorateError("time grid must be strictly increasing and nonnegative")
-    if not 0 <= i < spec.n:
-        raise ErgorateError(f"state {i} out of range for {spec.n} states")
     prop = Propagator(spec)
     fn = np.abs(prop.row_deviations(i, grid)) @ spec.f
     g = chain_analysis(spec).gap
@@ -447,7 +443,7 @@ def mu_ft_norm(mu: NDArray[np.float64], spec: ChainSpec, t: float) -> tuple[floa
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (spec.n,):
         raise ErgorateError(f"mu must have shape ({spec.n},)")
-    # written so that NaN fails, as in Propagator._check_time
+    # written so that NaN fails
     if not (np.all(mu >= 0.0) and abs(mu.sum() - 1.0) <= 1e-10):
         raise ErgorateError("mu must be a probability vector")
     direct = f_norm(mu @ Propagator(spec).deviation(t), spec.weight)

@@ -109,6 +109,53 @@ def test_non_finite_time_is_an_input_error(ex21, ex22, t):
             Propagator(spec).deviation(t)
 
 
+@pytest.mark.parametrize("chain", ["ex21", "ex22"])
+def test_row_deviations_rejects_a_state_out_of_range(request, chain):
+    # a negative index must not read a row counted from the end
+    spec = request.getfixturevalue(chain)
+    for i in (-1, spec.n):
+        with pytest.raises(ErgorateError, match=f"^state {i} out of range for {spec.n} states$"):
+            Propagator(spec).row_deviations(i, np.array([0.5, 1.0]))
+
+
+FINITE = "time grid must be a nonempty vector of finite times"
+INCREASING = "time grid must be strictly increasing and nonnegative"
+
+
+@pytest.mark.parametrize("chain", ["ex21", "ex22"])
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([], FINITE),
+        ([[0.5, 1.0]], FINITE),
+        ([0.5, np.nan, 1.0], FINITE),
+        ([0.5, -1.0, 1.0], INCREASING),
+        ([-1.0, 0.5], INCREASING),
+        ([1.0, 0.5], INCREASING),
+        ([150.0, 1.0], INCREASING),
+        ([0.5, 0.5], INCREASING),
+    ],
+    ids=["empty", "2-D", "nan", "negative-inside", "negative-first", "decreasing", "150-then-1", "repeated"],
+)
+def test_row_deviations_rejects_a_bad_grid(request, chain, times, message):
+    # every time is checked, not only the first and the last
+    with pytest.raises(ErgorateError, match=f"^{message}$"):
+        Propagator(request.getfixturevalue(chain)).row_deviations(0, np.array(times))
+
+
+@pytest.mark.parametrize("chain", ["ex21", "ex22"])
+def test_row_deviations_rejects_a_time_past_the_rate_bound(request, chain):
+    with pytest.raises(Overflow):
+        Propagator(request.getfixturevalue(chain)).row_deviations(0, np.array([0.5, 1e13]))
+
+
+@pytest.mark.parametrize("chain", ["ex21", "ex22"])
+@pytest.mark.parametrize("t", [[0.5, 1.0], [[1.0]]])
+def test_deviation_rejects_a_non_scalar_time(request, chain, t):
+    with pytest.raises(ErgorateError, match=f"^{FINITE}$"):
+        Propagator(request.getfixturevalue(chain)).deviation(np.array(t))
+
+
 def test_chapman_kolmogorov(ex22):
     prop = Propagator(ex22)
     lhs = prop.matrix(1.3)
@@ -721,6 +768,47 @@ def test_row_stepping_takes_long_steps_densely(decomposition_counts):
     assert decomposition_counts["expm"] > 0
     full = [f_norm(prop.deviation(t)[0], spec.weight) for t in grid]
     assert np.max(np.abs(curve.fnorms - full)) <= 1e-12 * spec.f.sum()
+
+
+def test_poisson_weights_match_a_40_digit_reference():
+    """Segment means from 0 to the term budget: every weight >= 1e-20 to
+    5e-15 relative against mpmath at 40 digits, and each column sums to 1
+    within 1e-15."""
+    mp = pytest.importorskip("mpmath")
+    means = np.array([0.0, 1e-3, 0.5, 1.0, 7.3, 20.0, 50.0, 99.9, 100.0])
+    w = semigroup._poisson_weights(means)
+    assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-15
+    with mp.workdps(40):
+        for g, mean in enumerate(means):
+            m = mp.mpf(mean)
+            for k in range(w.shape[0]):
+                ref = mp.exp(-m) * m**k / mp.factorial(k)
+                if ref >= 1e-20:
+                    assert abs(mp.mpf(w[k, g]) - ref) <= 5e-15 * ref
+
+
+@pytest.mark.parametrize("n", [None, 5, 8])
+def test_pade_rows_match_a_40_digit_exponential(ex22, n):
+    """Uniformized rows of example 2.2 and of two random irreversible
+    chains, at five default-grid times, to 1e-14 per entry against
+    mpmath's expm at 40 digits.  Q's diagonal is rebuilt in mpmath from
+    the off-diagonals: the float diagonal leaves row sums near 1e-16,
+    which a high-precision exponential would drift by."""
+    mp = pytest.importorskip("mpmath")
+    spec = ex22 if n is None else dense_chain(False, n)
+    prop = Propagator(spec)
+    assert prop.method == "pade"
+    grid = default_time_grid(chain_analysis(spec).gap)
+    picks = [0, 15, 30, 45, 59]
+    with mp.workdps(40):
+        Q = mp.matrix(spec.q.tolist())
+        for k in range(spec.n):
+            Q[k, k] = -mp.fsum(Q[k, j] for j in range(spec.n) if j != k)
+        exact = [mp.expm(mp.mpf(grid[g]) * Q) for g in picks]
+    for i in range(spec.n):
+        rows = prop.row_deviations(i, grid)[picks] + spec.pi
+        for P, row in zip(exact, rows):
+            assert max(abs(float(P[i, j]) - row[j]) for j in range(spec.n)) <= 1e-14
 
 
 # --------------------------------------------------------------------- CSV
