@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -150,6 +151,19 @@ class ChainSpec:
     @property
     def f(self) -> NDArray[np.float64]:
         return self.weight.f
+
+
+def state_index(i, n: int) -> int:
+    """State ``i`` of an n-state chain as an int.  An int or a numpy
+    integer in [0, n) passes; anything else, a float such as 1.0
+    included, raises ErgorateError naming the value."""
+    try:
+        k = operator.index(i)
+    except TypeError:
+        raise ErgorateError(f"state {i!r} is not an integer") from None
+    if not 0 <= k < n:
+        raise ErgorateError(f"state {k} out of range for {n} states")
+    return k
 
 
 def validate(

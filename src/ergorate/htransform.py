@@ -38,8 +38,16 @@ from .errors import ErgorateError, Overflow
 from .semigroup import Propagator, opnorm_inf_to_1, opnorm_inf_to_2
 from .spectral import chain_analysis
 
-# absolute residual (slack, for lemma 3.3) up to which an identity check passes
+# An identity check passes when its residual (slack, for lemma 3.3) is at
+# most LEMMA_TOL x max(1, size of the terms it differences): with a large
+# weight the compared terms grow like f, and so does their rounding error.
 LEMMA_TOL = 1e-9
+
+
+def _within_tol(residual: float, *terms) -> bool:
+    """residual <= LEMMA_TOL * max(1, largest |entry| among ``terms``)."""
+    size = max([1.0] + [float(np.max(np.abs(x))) for x in terms])
+    return residual <= LEMMA_TOL * size
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,8 @@ class LemmaReport:
 
     ``lhs``/``rhs`` are the two compared scalars where the identity is a
     scalar comparison, else None (vector identities report only the
-    residual).
+    residual).  ``residual`` is absolute; ``passed`` compares it with
+    LEMMA_TOL times the size of the compared terms, at least 1.
     """
 
     lemma: str
@@ -146,16 +155,22 @@ def check_lemma31(
     (2) nu-self-adjointness of Pf_t and of the projection (expected to
     fail for irreversible base chains, and reported as such), and
     (3) the projection identities pif Pf_t g = Pf_t pif g = pif g.
+    Each passes when its residual is within LEMMA_TOL of the largest
+    compared entry (or of 1): the two vectors of (1), the four inner
+    products of (2), the three vectors of (3).
     """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     Pf_ts, Pf_t, Pf_s = (T.pf_matrix(u) for u in (t + s, t, s))
 
-    r_semigroup = float(np.max(np.abs(Pf_ts @ g1 - Pf_t @ (Pf_s @ g1))))
+    x, y = Pf_ts @ g1, Pf_t @ (Pf_s @ g1)
+    r_semigroup = float(np.max(np.abs(x - y)))
 
-    r_sym_p = abs(T.inner_nu(Pf_t @ g1, g2) - T.inner_nu(g1, Pf_t @ g2))
-    r_sym_proj = abs(T.inner_nu(T.pif(g1), g2) - T.inner_nu(g1, T.pif(g2)))
-    r_symmetry = float(max(r_sym_p, r_sym_proj))
+    inner = np.array([
+        T.inner_nu(Pf_t @ g1, g2), T.inner_nu(g1, Pf_t @ g2),
+        T.inner_nu(T.pif(g1), g2), T.inner_nu(g1, T.pif(g2)),
+    ])
+    r_symmetry = float(max(abs(inner[0] - inner[1]), abs(inner[2] - inner[3])))
 
     a = T.pif(Pf_t @ g1)
     b = Pf_t @ T.pif(g1)
@@ -166,9 +181,9 @@ def check_lemma31(
 
     inputs = {"t": t, "s": s}
     return (
-        LemmaReport("lemma31.semigroup", inputs, None, None, r_semigroup, r_semigroup <= LEMMA_TOL),
-        LemmaReport("lemma31.symmetry", inputs, None, None, r_symmetry, r_symmetry <= LEMMA_TOL),
-        LemmaReport("lemma31.projection", inputs, None, None, r_projection, r_projection <= LEMMA_TOL),
+        LemmaReport("lemma31.semigroup", inputs, None, None, r_semigroup, _within_tol(r_semigroup, x, y)),
+        LemmaReport("lemma31.symmetry", inputs, None, None, r_symmetry, _within_tol(r_symmetry, inner)),
+        LemmaReport("lemma31.projection", inputs, None, None, r_projection, _within_tol(r_projection, a, b, c)),
     )
 
 
@@ -178,25 +193,27 @@ def check_lemma32(T: TransformedSemigroup, t: float) -> LemmaReport:
 
     Both sides are brute-forced over sign vertices (exact for these
     convex objectives); requires a reversible base chain and n <= 20.
+    Passes when |lhs - rhs| <= LEMMA_TOL * max(1, lhs, rhs).
     """
     if not chain_analysis(T.base).reversible:
         raise ErgorateError("norm identity requires a reversible base chain")
     lhs = opnorm_inf_to_2(T.pf_deviation(t), T.nu) ** 2
     rhs = opnorm_inf_to_1(T.pf_deviation(2.0 * t), T.nu)
     residual = abs(lhs - rhs)
-    return LemmaReport("lemma32", {"t": t}, float(lhs), float(rhs), float(residual), residual <= LEMMA_TOL)
+    return LemmaReport("lemma32", {"t": t}, float(lhs), float(rhs), float(residual), _within_tol(residual, lhs, rhs))
 
 
 def check_lemma33(T: TransformedSemigroup, t: float) -> LemmaReport:
     """Bound: the infinity-to-1 norm of the conjugated deviation is at
     most the pi-f-weighted average of the per-state decay curve values,
-    sum_i pi_i f_i || P_t(i,.) - pi ||_f."""
+    sum_i pi_i f_i || P_t(i,.) - pi ||_f.  Passes when the slack
+    lhs - rhs is at most LEMMA_TOL * max(1, rhs)."""
     dev = T.prop.deviation(t)
     lhs = opnorm_inf_to_1(T._conjugate(dev), T.nu)
     spec = T.base
     rhs = float((spec.pi * spec.f) @ (np.abs(dev) @ spec.f))
     slack = lhs - rhs
-    return LemmaReport("lemma33", {"t": t}, float(lhs), float(rhs), float(slack), slack <= LEMMA_TOL)
+    return LemmaReport("lemma33", {"t": t}, float(lhs), float(rhs), float(slack), _within_tol(slack, rhs))
 
 
 def h_function(spec: ChainSpec, i: int, s: float) -> tuple[HFunction, float, float | None]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain_core import ChainSpec, Distribution, WeightFunction
+from .chain_core import ChainSpec, Distribution, WeightFunction, state_index
 from .errors import ErgorateError, Overflow
 
 # Paths simulated at once.  Bounds the working memory and the span a
@@ -234,15 +234,16 @@ def sample_paths(
     so its last bits (about 1e-14 relative) do.  ``Overflow`` is raised
     when n_paths x (_BLOCK + horizon x the largest exit rate), about the
     number of jump draws, exceeds ``_MAX_DRAWS``: every path draws at
-    least one block, however short the horizon.
+    least one block, however short the horizon.  ``i`` must be an
+    integer (a numpy integer included) in [0, n): a float is refused,
+    not truncated.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ErgorateError("times must be a nonempty vector of finite times")
     if np.any(np.diff(times) < 0.0) or times[0] < 0.0:
         raise ErgorateError("times must be a nondecreasing nonnegative grid")
-    if not 0 <= i < spec.n:
-        raise ErgorateError(f"start state {i} out of range for {spec.n} states")
+    i = state_index(i, spec.n)
     if n_paths < 1:
         raise ErgorateError(f"need at least one path, got {n_paths}")
     draws = n_paths * (_BLOCK + float(times[-1]) * spec.rate_matrix.max_rate)
@@ -255,7 +256,7 @@ def sample_paths(
     ))
     return TrajectoryEnsemble(
         chain=spec,
-        start=int(i),
+        start=i,
         times=times,
         n_paths=int(n_paths),
         seed=int(seed),

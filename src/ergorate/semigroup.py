@@ -5,29 +5,25 @@ the chain's detailed-balance verdict picks its route.  A reversible chain
 takes the spectral route: the eigen-expansion of the symmetrized
 generator's n - 1 decaying modes, which yields the deviation P_t - pi
 with *relative* accuracy at any magnitude.  Any other chain takes the
-Pade route: the deviation is obtained by subtraction, so its noise floor
-is absolute, near 1e-14.  On both, P_t is the deviation plus pi.  The
+uniformized route (Jensen 1953; Grassmann 1977): with Lam the largest
+exit rate, P = I + Q / Lam is stochastic and entrywise nonnegative, and
+exp(tQ) = sum_k Pois(k; Lam t) P^k, weighted by Poisson probabilities
+from the pmf recurrence.  On both, P_t is the deviation plus pi.  The
 verdict and the expansion come from the chain's memoized analysis
 (spectral.chain_analysis), so they are computed once per chain.
 
-Decay curves need only the start state's row of P_t.  The spectral route
-evaluates every grid time in one (G x n) @ (n x n) product.  The Pade
-route uniformizes (Jensen 1953; Grassmann 1977): with Lam the largest
-exit rate, P = I + Q / Lam is stochastic and entrywise nonnegative, and
-e_i exp(tQ) = sum_k Pois(k; Lam t) e_i P^k.  Walking the grid, every
-time within _UNIFORM_TERMS / Lam of the last time reached comes from one
-sequence of row-vector products, weighted by Poisson probabilities
-from the pmf recurrence; a longer gap is taken with one dense
-scaling-and-squaring exponential.  Every term is nonnegative, so the row
-carries no cancellation.
+On the uniformized route a whole deviation D(t) = P_t - 1 pi is summed
+at a short time and squared up to t (_deviation; scaling and squaring,
+Moler & Van Loan, SIAM Rev. 45, 2003), never formed by subtracting the
+limit from an O(1) matrix, so its error stays small relative to D(t).
 
-scipy is imported only inside the functions that take a dense
-exponential: the Pade route's matrix/deviation, a decay curve's long
-gaps, and the dual-semigroup cross-check of mu_ft_norm.  Importing
-ergorate, everything computed from the expansion alone, and decay
-curves on non-stiff chains load numpy only, which more than halves the
-start-up cost of a CLI call.  The calls go through the module attribute
-scipy.linalg.expm, so patching it counts them.
+Decay curves need only the start state's row of P_t.  The spectral route
+evaluates every grid time in one (G x n) @ (n x n) product.  The
+uniformized route walks the grid: every time within _UNIFORM_TERMS / Lam
+of the last time reached comes from one sequence of row-vector products
+v, vP, vP^2, ..., whose terms are all nonnegative, and a longer gap is
+taken as v D(gap) + pi from the row v reached.  A row subtracts pi only
+at the end, so its noise floor is absolute, near 1e-14.
 
 Rate fitting supports a plain log-linear mode for monotone curves and a
 peak-envelope mode for oscillating ones.  Oscillating curves from
@@ -44,7 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain_core import ChainSpec, WeightFunction, dual
+from .chain_core import ChainSpec, WeightFunction, dual, state_index
 from .errors import ErgorateError, InsufficientData, NoiseFloor, Overflow, TooLarge
 from .spectral import chain_analysis, ergodicity_constant
 
@@ -52,9 +48,9 @@ from .spectral import chain_analysis, ergodicity_constant
 # any desk-scale use.
 _MAX_TIME_RATE = 1e12
 
-# Absolute accuracy of deviations obtained by subtracting the limit
-# from a Pade-computed exponential or a uniformized row.
-_PADE_FLOOR = 1e-14
+# Absolute accuracy of a uniformized row's deviation, which subtracts
+# the limit from the row.
+_UNIFORMIZED_FLOOR = 1e-14
 # The spectral route computes deviations with relative accuracy; its
 # floor is the edge of normal double range.
 _SPECTRAL_FLOOR = 1e-300
@@ -62,13 +58,14 @@ _SPECTRAL_FLOOR = 1e-300
 # Term budget B of one uniformization segment: a decay curve evaluates
 # every grid time within B / (largest exit rate) of the last time reached
 # from one sequence of row-vector products, and takes a longer gap with
-# one dense exponential.  Measured on a 2-vCPU x86 VM (numpy 2.4, scipy
-# 1.17, one BLAS thread, best of 9), a one-time segment of Poisson mean
-# B costs the same as one dense row exponential over its span at B ~ 20
-# for n = 50, ~ 100 for n = 80, ~ 450 for n = 130 and ~ 1200 for
-# n = 200-300; at n <= 20 the dense step is cheaper for any B (0.02-0.05
-# ms against a segment's fixed 0.11 ms).  B is the crossover at n = 80,
-# the middle of that range on a log scale.
+# one whole deviation (_deviation).  Measured on a 2-vCPU x86 VM (numpy
+# 2.4, one BLAS thread, best of 9) against a dense Pade exponential, not
+# against _deviation, a one-time segment of Poisson mean B costs the
+# same as one dense row exponential over its span at B ~ 20 for n = 50,
+# ~ 100 for n = 80, ~ 450 for n = 130 and ~ 1200 for n = 200-300; at
+# n <= 20 the dense step is cheaper for any B (0.02-0.05 ms against a
+# segment's fixed 0.11 ms).  B is the crossover at n = 80, the middle
+# of that range on a log scale.
 _UNIFORM_TERMS = 100
 
 # Upper Poisson tail left out of each uniformization segment.
@@ -83,7 +80,7 @@ class DecayCurve:
     the per-state constant and the variational-gap rate;
     ``envelope_rate`` stores that rate for window defaults.
     ``noise_floor`` is the accuracy floor of the method that produced
-    ``fnorms`` (absolute ~1e-14 for the subtraction route, edge of
+    ``fnorms`` (absolute ~1e-14 for the uniformized route, edge of
     double range for the spectral route).
     """
 
@@ -121,7 +118,7 @@ class Propagator:
     """Evaluator for P_t and its deviation from the stationary limit.
 
     The chain's detailed-balance verdict picks the route, recorded in
-    ``method``: "spectral" on a reversible chain, "pade" otherwise.  The
+    ``method``: "spectral" on a reversible chain, "uniformized" otherwise.  The
     verdict and the spectral factors are read from the chain's memoized
     analysis, so building a propagator does no O(n^2) work and every
     propagator of one spec shares one expansion of the decaying modes.
@@ -139,14 +136,12 @@ class Propagator:
             self.noise_floor = _SPECTRAL_FLOOR
             self._lam, self._psi, self._phi = analysis.expansion
         else:
-            self.method = "pade"
-            self.noise_floor = _PADE_FLOOR
+            self.method = "uniformized"
+            self.noise_floor = _UNIFORMIZED_FLOOR
 
-    def _checked(self, i: int, times) -> NDArray[np.float64]:
-        """``times`` as a float vector, once ``i`` and ``times`` pass the
-        row path's contract (see row_deviations)."""
-        if not 0 <= i < self.spec.n:
-            raise ErgorateError(f"state {i} out of range for {self.spec.n} states")
+    def _checked(self, times) -> NDArray[np.float64]:
+        """``times`` as a float vector, once it passes the row path's
+        contract on times (see row_deviations)."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
             raise ErgorateError("time grid must be a nonempty vector of finite times")
@@ -166,34 +161,35 @@ class Propagator:
 
         On the spectral route only the decaying modes are summed, so
         entries keep full relative accuracy however small they are; on
-        the Pade route the limit is subtracted numerically and accuracy
-        is absolute (~1e-14).  ``t`` is checked as a one-time grid, so a
-        non-scalar, negative, non-finite or too large time is refused.
+        the uniformized route the deviation is squared up from a short
+        time (_deviation), so its error is small relative to its norm.
+        ``t`` is checked as a one-time grid, so a non-scalar, negative,
+        non-finite or too large time is refused.
         """
-        t = self._checked(0, [t])[0]
+        t = self._checked([t])[0]
         if self.method == "spectral":
             return (self._psi * np.exp(-t * self._lam)[None, :]) @ self._phi
-        import scipy.linalg
-
-        return scipy.linalg.expm(t * self.spec.q) - self.spec.pi
+        return _deviation(self.spec.q, self.spec.pi, t)
 
     def row_deviations(self, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
         """Rows P_t(i, .) - pi for increasing ``times``, shape (G, n).
 
         Equals deviation(t)[i] for each t, without forming any other row:
-        one O(G n^2) product on the spectral route; on the Pade route
-        row-vector products with Poisson weights, and one dense exponential
-        per grid gap longer than _UNIFORM_TERMS over the largest exit rate.
+        one O(G n^2) product on the spectral route; on the uniformized
+        route row-vector products with Poisson weights, and one whole
+        deviation per grid gap longer than _UNIFORM_TERMS over the largest
+        exit rate.
 
         This is where the row path's input is checked, for decay_curve and
-        h_function alike: ``ErgorateError`` unless 0 <= i < n and ``times``
-        is a nonempty vector of finite, nonnegative, strictly increasing
-        times, and ``Overflow`` past the time-rate bound.
+        h_function alike: ``ErgorateError`` unless ``i`` is an integer
+        (a numpy integer included) with 0 <= i < n and ``times`` is a
+        nonempty vector of finite, nonnegative, strictly increasing times,
+        and ``Overflow`` past the time-rate bound.
         """
-        times = self._checked(i, times)
+        i, times = state_index(i, self.spec.n), self._checked(times)
         if self.method == "spectral":
             return (self._psi[i] * np.exp(-np.outer(times, self._lam))) @ self._phi
-        return _uniformized_rows(self.spec.q, i, times) - self.spec.pi
+        return _uniformized_rows(self.spec.q, self.spec.pi, i, times) - self.spec.pi
 
 
 def _poisson_weights(mu: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -213,23 +209,58 @@ def _poisson_weights(mu: NDArray[np.float64]) -> NDArray[np.float64]:
     return w[: int(np.argmax(tail < _POISSON_TAIL))]
 
 
-def _uniformized_rows(q: NDArray[np.float64], i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Rows e_i exp(tQ) for increasing nonnegative ``times``, shape (G, n).
-
-    Uniformization: with Lam the largest exit rate, P = I + Q / Lam is
-    entrywise nonnegative and row-stochastic, and
-    e_i exp(tQ) = sum_k Pois(k; Lam t) e_i P^k, a sum of nonnegative
-    terms with no cancellation.  The row is carried along the grid from
-    the last time reached: all grid times within _UNIFORM_TERMS / Lam of
-    it come from one sequence v, vP, ..., vP^K and one (G x K) @ (K x n)
-    product; a longer gap is taken with one dense exponential.
-    """
-    n = q.shape[0]
+def _uniformized(q: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
+    """(P, Lam): Lam the largest exit rate and P = I + Q / Lam, entrywise
+    nonnegative and row-stochastic, its diagonal rebuilt from the
+    off-diagonal rates."""
     off = q - np.diag(np.diag(q))
     exits = off.sum(axis=1)
     lam = float(exits.max())
     P = off / lam
     np.fill_diagonal(P, 1.0 - exits / lam)
+    return P, lam
+
+
+def _deviation(q: NDArray[np.float64], pi: NDArray[np.float64], t: float) -> NDArray[np.float64]:
+    """exp(tQ) - 1 pi for a generator q with stationary law pi, t >= 0.
+
+    With (P, Lam) from _uniformized and Pt = P - 1 pi, take s = 0 if
+    Lam t <= 1, else ceil(log2(Lam t)), and tau = t / 2^s.  Then
+    D(tau) = sum_k Pois(k; Lam tau) (I - 1 pi) Pt^k: each term is the
+    last one times Pt, starting from I - 1 pi.  Squaring s times gives
+    D(t), because D(2 tau) = D(tau)^2 (1 pi commutes with P_t, and
+    (1 pi)^2 = 1 pi).  No step subtracts the limit from an O(1) matrix,
+    so the error stays small relative to D(t) as it decays.
+    """
+    P, lam = _uniformized(q)
+    tilde = P - pi
+    s = int(np.ceil(np.log2(lam * t))) if lam * t > 1.0 else 0
+    weights = _poisson_weights(np.array([lam * t / 2.0**s]))[:, 0]
+    term = np.eye(q.shape[0]) - pi
+    dev = weights[0] * term
+    for w in weights[1:]:
+        term = term @ tilde
+        dev += w * term
+    for _ in range(s):
+        dev = dev @ dev
+    return dev
+
+
+def _uniformized_rows(
+    q: NDArray[np.float64], pi: NDArray[np.float64], i: int, times: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Rows e_i exp(tQ) for increasing nonnegative ``times``, shape (G, n),
+    of a generator q with stationary law pi.
+
+    Uniformization: with (P, Lam) from _uniformized,
+    e_i exp(tQ) = sum_k Pois(k; Lam t) e_i P^k, a sum of nonnegative
+    terms with no cancellation.  The row is carried along the grid from
+    the last time reached: all grid times within _UNIFORM_TERMS / Lam of
+    it come from one sequence v, vP, ..., vP^K and one (G x K) @ (K x n)
+    product; a longer gap is taken as v _deviation(gap) + pi.
+    """
+    n = q.shape[0]
+    P, lam = _uniformized(q)
     span = _UNIFORM_TERMS / lam
     rows = np.empty((times.size, n))
     v = np.zeros(n)
@@ -239,9 +270,7 @@ def _uniformized_rows(q: NDArray[np.float64], i: int, times: NDArray[np.float64]
     while j < times.size:
         end = int(np.searchsorted(times, t0 + span, side="right"))
         if end == j:
-            import scipy.linalg
-
-            rows[j] = v @ scipy.linalg.expm((times[j] - t0) * q)
+            rows[j] = v @ _deviation(q, pi, times[j] - t0) + pi
             end = j + 1
         else:
             w = _poisson_weights(lam * (times[j:end] - t0))
@@ -437,8 +466,12 @@ def mu_ft_norm(mu: NDArray[np.float64], spec: ChainSpec, t: float) -> tuple[floa
     Returns (direct, via_dual): the direct value || mu P_t - pi ||_f and
     the same quantity through the time-reversal identity
     || f * (P*_t h - 1) ||_{L1(pi)} with h = mu / pi and P*_t the dual
-    semigroup.  The two code paths share nothing past the chain spec, so
-    their agreement is a genuine cross-check.
+    semigroup.  With D and D* the deviations of P_t and P*_t, and pi . h
+    = sum(mu) = 1, these are f . |mu D(t)| and pi . f |D*(t) h|: both are
+    formed from deviations, so they keep relative accuracy as they decay.
+    The two sides share the algorithm, not the matrix: the dual side runs
+    on the dual generator, which the direct side never reads, so their
+    agreement is a genuine cross-check.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (spec.n,):
@@ -448,12 +481,9 @@ def mu_ft_norm(mu: NDArray[np.float64], spec: ChainSpec, t: float) -> tuple[floa
         raise ErgorateError("mu must be a probability vector")
     direct = f_norm(mu @ Propagator(spec).deviation(t), spec.weight)
 
-    import scipy.linalg
-
     Qhat = dual(spec.rate_matrix, spec.stationary)
     h = mu / spec.pi
-    Pstar_h = scipy.linalg.expm(t * Qhat.q) @ h
-    via_dual = float(np.dot(spec.pi, spec.f * np.abs(Pstar_h - 1.0)))
+    via_dual = float(np.dot(spec.pi, spec.f * np.abs(_deviation(Qhat.q, spec.pi, t) @ h)))
     return direct, via_dual
 
 

@@ -22,7 +22,7 @@ spectral_report, the propagator, decay curves and the CLI read it.
 Reversible (at the spec's rev_tol): one eigh, kept as the expansion of
 the n - 1 decaying modes; the gap and the real spectrum, an exact 0 then
 the decaying rates, are read from it.  Irreversible: one values-only
-eigvalsh for the gap (no eigenvector enters it, and the Pade route
+eigvalsh for the gap (no eigenvector enters it, and the uniformized route
 reads none) and one general eigvals of Q for the spectrum.
 """
 
@@ -164,7 +164,7 @@ class ChainAnalysis:
     - ``gap``: lam[1] of the pi-symmetrized generator.  Reversible: the
       first decaying rate of ``expansion``.  Irreversible: one
       values-only eigvalsh of the same matrix, since no eigenvector
-      enters the gap and the Pade route reads none.
+      enters the gap and the uniformized route reads none.
     - ``spectrum``: the spectrum of Q, sorted by descending real part then
       ascending imaginary part, with exactly one zero eigenvalue.
       Reversible: an exact 0, then minus the rates of ``expansion``,

@@ -12,7 +12,8 @@ from ergorate.chain_core import build_birth_death, build_example21, build_exampl
 @pytest.fixture
 def decomposition_counts(monkeypatch):
     """Live counts of numpy.linalg.eigh/eigvalsh/eigvals and scipy.linalg.expm
-    calls (ergorate looks these up on the modules at call time)."""
+    calls (ergorate looks these up on the modules at call time).  ergorate
+    takes no expm; its count stays as a guard."""
     counts = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "expm": 0}
     kernels = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "eigvals"), (scipy.linalg, "expm"))
     for owner, name in kernels:

@@ -42,13 +42,14 @@ def write_chain(tmp_path, name, obj):
         (["analyze", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
         (["fit", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
         (["decay", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
-        # irreversible: the Pade route uniformizes the row, no dense expm
+        # irreversible: the uniformized route steps the row, no dense expm
         (["decay", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
         (["drift", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
         # the battery reads each chain's memo: one eigh per reversible chain
         # (three battery chains, one lemma chain), example22's eigvalsh and
-        # eigvals; the expm are the Pade route's matrices and mu_ft_norm's dual
-        (["verify"], {"eigh": 4, "eigvalsh": 1, "eigvals": 1, "expm": 38}),
+        # eigvals; the uniformized route's matrices and mu_ft_norm's dual
+        # are semigroup._deviation, no expm
+        (["verify"], {"eigh": 4, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
     ],
 )
 def test_decompositions_per_call(capsys, decomposition_counts, argv, expected):
@@ -815,19 +816,47 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_loaded_only_to_take_an_exponential():
-    # a fresh interpreter: this process has scipy loaded already
+def fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ergorate: this process has scipy loaded already."""
     src = os.path.dirname(os.path.dirname(ergorate.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_no_scipy_module_is_loaded_by_any_command_verify_included():
+    proc = fresh_python(SCIPY_PROBE)
     assert proc.returncode == 0, proc.stderr
     after_import, after_gap, after_decay, after_verify = json.loads(proc.stdout)
     assert after_import == []
-    # gap reads eigenvalues only
     assert after_gap == []
-    # example22 is irreversible: its curve is uniformized, no dense exponential
+    # example22 is irreversible: its curve is uniformized
     assert after_decay == []
-    # the identity checks take dense exponentials
-    assert "scipy.linalg" in after_verify
+    # the identity checks' whole deviations are uniformized and squared
+    assert after_verify == []
+
+
+SCIPY_BLOCKED = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import ergorate.cli
+
+for argv in (
+    ["verify"],
+    ["analyze", "--family", "example22"],
+    ["decay", "--family", "example22"],
+    ["fit", "--family", "example22"],
+    ["simulate", "--family", "example22", "--paths", "200"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ergorate.cli.main(argv)
+    print(argv[0], code)
+"""
+
+
+def test_commands_run_with_scipy_blocked():
+    proc = fresh_python(SCIPY_BLOCKED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == [
+        f"{cmd} 0" for cmd in ("verify", "analyze", "decay", "fit", "simulate")
+    ]

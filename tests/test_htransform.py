@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergorate.chain_core import (
     build_birth_death,
     build_example21,
     build_example22,
     chain_spec,
+    distribution,
     weight_function,
 )
 from ergorate.errors import ErgorateError, Overflow, TooLarge
@@ -107,6 +111,65 @@ def test_lemma31_symmetry_fails_for_irreversible(ex22):
     assert proj.passed
     assert not sym.passed
     assert sym.residual > 1e-3
+
+
+# ------------------------------------------ bounds that scale with the weight
+
+def lemma_battery(T, g1, g2):
+    """Every identity check of a reversible chain, at verify's times."""
+    return [*check_lemma31(T, 0.7, 0.3, g1, g2), check_lemma32(T, 0.5), check_lemma33(T, 0.5)]
+
+
+@pytest.mark.parametrize("beta", [2.0, 1e6, 1e9])
+def test_lemma_checks_pass_under_a_large_weight(beta):
+    # the compared terms grow like the weight: under an absolute bound of
+    # 1e-9, lemma31.symmetry and lemma32 failed at 1e6 and every lemma 3.1
+    # residual and lemma32 at 1e9, on correct numbers
+    T = transform(build_example21([0.5, 0.25, 0.25], beta))
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        g1, g2 = rng.standard_normal((2, 3))
+        for rep in lemma_battery(T, g1, g2):
+            assert rep.passed, (rep.lemma, rep.residual)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_beta=st.floats(min_value=np.log10(2.0), max_value=12.0), seed=st.integers(0, 2**31))
+def test_lemma_checks_pass_for_weights_from_2_to_1e12(log_beta, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.2, 1.0, 3)
+    T = transform(build_example21(p / p.sum(), 10.0**log_beta))
+    g1, g2 = rng.standard_normal((2, 3))
+    for rep in lemma_battery(T, g1, g2):
+        assert rep.passed, (rep.lemma, rep.residual)
+
+
+@pytest.mark.parametrize("beta", [2.0, 1e6, 1e9, 1e12])
+def test_a_semigroup_perturbed_by_1e_6_fails(beta):
+    # a scaled bound must not become a loose one: every P_t and deviation
+    # off by a fixed entrywise 1e-6 relative pattern
+    T = transform(build_example21([0.5, 0.25, 0.25], beta))
+    E = 1.0 + 1e-6 * np.random.default_rng(5).uniform(-1.0, 1.0, (3, 3))
+    matrix, deviation = T.prop.matrix, T.prop.deviation
+    T.prop.matrix = lambda u: matrix(u) * E
+    T.prop.deviation = lambda u: deviation(u) * E
+    g1, g2 = np.random.default_rng(17).standard_normal((2, 3))
+    sem, _, proj, l32, _ = lemma_battery(T, g1, g2)
+    assert not sem.passed and not proj.passed and not l32.passed
+
+
+@pytest.mark.parametrize("beta", [2.0, 1e6, 1e9, 1e12])
+def test_a_non_stationary_pi_fails(beta):
+    # the same semigroup, with nu and the projection built from a pi off
+    # by 1e-6 relative
+    spec = build_example21([0.5, 0.25, 0.25], beta)
+    T = transform(spec)
+    p = spec.pi.copy()
+    p[:2] += np.array([1.0, -1.0]) * 1e-6 * p[0]
+    T.base = replace(spec, stationary=distribution(p))
+    g1, g2 = np.random.default_rng(17).standard_normal((2, 3))
+    _, sym, proj = check_lemma31(T, 0.7, 0.3, g1, g2)
+    assert not sym.passed and not proj.passed
 
 
 # ------------------------------------------------------------ norm identity
@@ -213,6 +276,14 @@ def test_h_function_rejects_bad_inputs(bd6):
         h_function(bd6, 0, 0.0)
     with pytest.raises(ErgorateError):
         h_function(bd6, 99, 0.5)
+
+
+@pytest.mark.parametrize("chain", ["bd6", "ex22"])
+@pytest.mark.parametrize("i", [1.5, 2.0, np.float64(1.0)])
+def test_h_function_refuses_a_state_that_is_not_an_integer(request, chain, i):
+    # a float state once raised numpy's untyped IndexError
+    with pytest.raises(ErgorateError, match=r"^state .* is not an integer$"):
+        h_function(request.getfixturevalue(chain), i, 0.5)
 
 
 def test_h_function_definition_matches_entries(bd6):

@@ -302,6 +302,20 @@ def test_input_validation(ex22):
         sample_paths(ex22, 0, np.array([0.5]), 0, seed=0)
 
 
+@pytest.mark.parametrize("i", [1.5, 2.9, 1.0, np.float64(0.0), "1"])
+def test_a_start_state_that_is_not_an_integer_is_an_input_error(ex22, i):
+    # 1.5 once simulated from state 1 and 2.9 from state 2, each recorded as such
+    with pytest.raises(ErgorateError, match=r"^state .* is not an integer$"):
+        sample_paths(ex22, i, np.array([0.0, 1.0]), 10, seed=0)
+
+
+def test_a_numpy_integer_start_state_is_a_state(ex22):
+    times = np.array([0.0, 1.0])
+    ens = sample_paths(ex22, np.int64(2), times, 50, seed=4)
+    assert ens.start == 2 and type(ens.start) is int
+    assert np.array_equal(ens.occupancy, sample_paths(ex22, 2, times, 50, seed=4).occupancy)
+
+
 @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]])
 def test_non_finite_times_are_an_input_error(ex22, times):
     # NaN once passed every comparison and left np.empty occupancy in its

@@ -58,8 +58,10 @@ def test_expm_time_zero_is_identity(ex22):
 
 def test_expm_two_state_closed_form():
     spec = two_state()
-    # the chain's own (spectral) route, and the Pade exponential directly
-    for P in (Propagator(spec).matrix(1.0), scipy.linalg.expm(spec.q)):
+    # the chain's own (spectral) route, the uniformized deviation directly,
+    # and scipy's Pade exponential, the oracle of other tests
+    uniformized = semigroup._deviation(spec.q, spec.pi, 1.0) + spec.pi
+    for P in (Propagator(spec).matrix(1.0), uniformized, scipy.linalg.expm(spec.q)):
         assert P[0, 0] == pytest.approx(0.5 + 0.5 * np.exp(-2.0), abs=1e-13)
         assert P[0, 1] == pytest.approx(0.5 - 0.5 * np.exp(-2.0), abs=1e-13)
 
@@ -87,7 +89,7 @@ def test_matrix_rows_stochastic(bd6):
 
 def test_propagator_records_method(ex21, ex22):
     assert Propagator(ex21).method == "spectral"
-    assert Propagator(ex22).method == "pade"
+    assert Propagator(ex22).method == "uniformized"
 
 
 def test_propagator_rejects_negative_time(ex21):
@@ -116,6 +118,28 @@ def test_row_deviations_rejects_a_state_out_of_range(request, chain):
     for i in (-1, spec.n):
         with pytest.raises(ErgorateError, match=f"^state {i} out of range for {spec.n} states$"):
             Propagator(spec).row_deviations(i, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("chain", ["ex21", "ex22"])
+@pytest.mark.parametrize("i", [1.5, 2.9, 1.0, np.float64(1.0), "1", None])
+def test_a_state_that_is_not_an_integer_is_an_input_error(request, chain, i):
+    # a float state once raised numpy's untyped IndexError
+    spec = request.getfixturevalue(chain)
+    grid = np.array([0.5, 1.0])
+    with pytest.raises(ErgorateError, match=r"^state .* is not an integer$"):
+        Propagator(spec).row_deviations(i, grid)
+    with pytest.raises(ErgorateError, match=r"^state .* is not an integer$"):
+        decay_curve(spec, i, grid)
+
+
+@pytest.mark.parametrize("chain", ["ex21", "ex22"])
+def test_a_numpy_integer_state_is_a_state(request, chain):
+    spec = request.getfixturevalue(chain)
+    grid = np.array([0.5, 1.0])
+    prop = Propagator(spec)
+    assert np.array_equal(prop.row_deviations(np.int64(1), grid), prop.row_deviations(1, grid))
+    curve = decay_curve(spec, np.int32(2), grid)
+    assert curve.state == 2 and type(curve.state) is int
 
 
 FINITE = "time grid must be a nonempty vector of finite times"
@@ -381,7 +405,7 @@ def test_fit_rate_insufficient_points():
 
 def test_fit_rate_window_below_floor(ex22):
     grid = np.linspace(0.5, 40.0, 120)
-    curve = decay_curve(ex22, 0, grid)  # pade route, floor 1e-14
+    curve = decay_curve(ex22, 0, grid)  # uniformized route, floor 1e-14
     assert curve.noise_floor == 1e-14
     with pytest.raises(NoiseFloor):
         fit_rate(curve, window=(30.0, 40.0))
@@ -467,6 +491,21 @@ def test_mu_ft_norm_two_routes_agree(bd6):
     mu /= mu.sum()
     direct, via_dual = mu_ft_norm(mu, bd6, 0.7)
     assert abs(direct - via_dual) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [None, 5])
+def test_mu_ft_norm_sides_agree_far_past_the_time_scale(ex22, n):
+    # at 25 / rho both sides are near 1e-11, each formed from a deviation
+    # (of Q, and of its dual) that keeps relative accuracy; exp(tQ) - pi
+    # would leave them 1e-5 apart
+    spec = ex22 if n is None else dense_chain(False, n)
+    rng = np.random.default_rng(29)
+    rho = chain_analysis(spec).true_decay_rate
+    for _ in range(5):
+        mu = rng.dirichlet(np.ones(spec.n))
+        direct, via_dual = mu_ft_norm(mu, spec, 25.0 / rho)
+        assert 1e-13 < direct < 1e-10
+        assert abs(direct - via_dual) <= 1e-12 * direct
 
 
 def test_mu_ft_norm_stationary_start_is_zero(bd6):
@@ -627,32 +666,49 @@ def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
 
 @pytest.mark.parametrize("reversible", [True, False])
 @pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
-@pytest.mark.parametrize("method", ["spectral", "pade"])
+# the uniformized route keeps the id "pade", as in the test_pade_* names
+@pytest.mark.parametrize("method", ["spectral", pytest.param("uniformized", id="pade")])
 def test_row_curve_matches_full_deviation(reversible, n, method):
     spec = dense_chain(reversible, n)
     prop = Propagator(spec)
     if method == "spectral" and not reversible:
         # the verdict picks the route: the eigen-expansion, which would
         # propagate the reversibilization, never runs on an irreversible chain
-        assert prop.method == "pade"
+        assert prop.method == "uniformized"
         return
     grid = default_time_grid(chain_analysis(spec).gap)
     if method == prop.method:
         curve = decay_curve(spec, 2, grid)
         assert curve.method == method
         fnorms = curve.fnorms
+    else:
+        # the uniformized path on a reversible chain, called directly
+        fnorms = np.abs(semigroup._uniformized_rows(spec.q, spec.pi, 2, grid) - spec.pi) @ spec.f
+    if method == "spectral":
         full = [f_norm(prop.deviation(t)[2], spec.weight) for t in grid]
     else:
-        # the Pade path on a reversible chain, called directly
-        fnorms = np.abs(semigroup._uniformized_rows(spec.q, 2, grid) - spec.pi) @ spec.f
+        # uniformized rows and deviations share _poisson_weights: scipy's
+        # Pade exponential is the independent oracle
         full = [f_norm(scipy.linalg.expm(t * spec.q)[2] - spec.pi, spec.weight) for t in grid]
     assert np.max(np.abs(fnorms - full)) <= 1e-12 * spec.f.sum()
 
 
 def test_irreversible_chain_propagates_q_itself(ex22):
     prop = Propagator(ex22)
-    assert prop.method == "pade"
+    assert prop.method == "uniformized"
     assert np.max(np.abs(prop.matrix(1.0) - scipy.linalg.expm(ex22.q))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
+def test_uniformized_deviation_matches_scipys_exponential(n):
+    # where expm(tQ) - pi is still accurate, up to 13 over the true rate,
+    # the two agree to its absolute accuracy
+    spec = dense_chain(False, n)
+    prop = Propagator(spec)
+    assert prop.method == "uniformized"
+    rho = chain_analysis(spec).true_decay_rate
+    for t in (0.0, 0.5 / rho, 3.0 / rho, 13.0 / rho):
+        assert np.max(np.abs(prop.deviation(t) - (scipy.linalg.expm(t * spec.q) - spec.pi))) <= 1e-14
 
 
 @pytest.mark.parametrize("chain", ["bd6", "dense", "ex22"])
@@ -674,14 +730,14 @@ def test_propagators_of_one_chain_share_the_expansion(decomposition_counts):
 @pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
 def test_pade_rows_match_spectral_rows(n):
     # on a reversible chain the spectral route's deviations carry
-    # relative accuracy, so they are the oracle for the Pade route's rows
+    # relative accuracy, so they are the oracle for the uniformized route's rows
     spec = dense_chain(True, n)
     grid = default_time_grid(chain_analysis(spec).gap)
     spectral = Propagator(spec)
     assert spectral.method == "spectral"
     for i in (0, n - 1):
-        pade = semigroup._uniformized_rows(spec.q, i, grid) - spec.pi
-        err = np.abs(pade - spectral.row_deviations(i, grid))
+        rows = semigroup._uniformized_rows(spec.q, spec.pi, i, grid) - spec.pi
+        err = np.abs(rows - spectral.row_deviations(i, grid))
         assert np.max(err) <= 1e-14
 
 
@@ -689,7 +745,7 @@ def test_pade_rows_match_spectral_rows(n):
 def test_pade_curve_on_a_grid_from_time_zero(reversible):
     spec = dense_chain(reversible, 7)
     grid = np.linspace(0.0, 10.0 / chain_analysis(spec).gap, 40)
-    rows = semigroup._uniformized_rows(spec.q, 2, grid) - spec.pi
+    rows = semigroup._uniformized_rows(spec.q, spec.pi, 2, grid) - spec.pi
     unit = np.zeros(spec.n)
     unit[2] = 1.0
     assert np.array_equal(rows[0], unit - spec.pi)
@@ -713,6 +769,27 @@ def segment_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def deviation_calls(monkeypatch):
+    """Live count of semigroup._deviation calls: whole-matrix deviations
+    on the uniformized route."""
+    calls = [0]
+    original = semigroup._deviation
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(semigroup, "_deviation", counted)
+    return calls
+
+
+def expm_rows(spec, i, grid):
+    """Rows exp(tQ)[i] - pi from scipy's Pade exponential: an oracle for
+    the uniformized route that shares none of its code."""
+    return np.array([scipy.linalg.expm(t * spec.q)[i] for t in grid]) - spec.pi
+
+
 def stiff_chain(seed=5, n=12):
     # exit rates spanning 1e4
     rng = np.random.default_rng(seed)
@@ -727,24 +804,24 @@ def test_stiff_chain_is_uniformized_in_segments(segment_sizes, decomposition_cou
     grid = np.linspace(0.0, 0.05, 200)
     prop = Propagator(spec)
     rows = prop.row_deviations(0, grid)
-    assert prop.method == "pade"
+    assert prop.method == "uniformized"
     lam = float(np.max(-np.diag(spec.q)))
     assert len(segment_sizes) >= lam * grid[-1] / semigroup._UNIFORM_TERMS > 3
     assert sum(segment_sizes) == grid.size
     assert decomposition_counts["expm"] == 0
-    full = np.array([prop.deviation(t)[0] for t in grid])
+    full = expm_rows(spec, 0, grid)
     assert np.max(np.abs(rows - full)) <= 1e-12
 
 
-def test_stiff_chain_takes_coarse_gaps_densely(segment_sizes, decomposition_counts):
+def test_stiff_chain_takes_coarse_gaps_densely(segment_sizes, deviation_calls):
     # fine steps, then steps far beyond the term budget while the slow
     # states are still far from equilibrium: segments and dense gaps alternate
     spec = stiff_chain()
     grid = np.concatenate([np.linspace(0.0, 0.01, 50), np.geomspace(0.02, 0.5, 8)])
     prop = Propagator(spec)
     rows = prop.row_deviations(0, grid)
-    assert segment_sizes and decomposition_counts["expm"] == 8
-    full = np.array([prop.deviation(t)[0] for t in grid])
+    assert segment_sizes and deviation_calls[0] == 8
+    full = expm_rows(spec, 0, grid)
     assert np.abs(full[-1]).max() > 1e-3
     assert np.max(np.abs(rows - full)) <= 1e-12
 
@@ -752,21 +829,20 @@ def test_stiff_chain_takes_coarse_gaps_densely(segment_sizes, decomposition_coun
 def test_reversible_chain_forced_to_pade_steps_the_row(segment_sizes, decomposition_counts):
     spec = dense_chain(True, ABOVE)
     grid = default_time_grid(chain_analysis(spec).gap)
-    semigroup._uniformized_rows(spec.q, 0, grid)
+    semigroup._uniformized_rows(spec.q, spec.pi, 0, grid)
     # the default grid lies within one term budget: one segment
     assert segment_sizes == [grid.size]
     assert decomposition_counts["expm"] == 0
 
 
-def test_row_stepping_takes_long_steps_densely(decomposition_counts):
+def test_row_stepping_takes_long_steps_densely(deviation_calls):
     # steps far beyond the chain's time scale: a uniformization segment's
-    # cost grows with the step, so these go through one dense exponential each
+    # cost grows with the step, so these go through one whole deviation each
     spec = dense_chain(False, ABOVE)
     grid = np.geomspace(0.01, 1e6, 12)
-    prop = Propagator(spec)
     curve = decay_curve(spec, 0, grid)
-    assert decomposition_counts["expm"] > 0
-    full = [f_norm(prop.deviation(t)[0], spec.weight) for t in grid]
+    assert deviation_calls[0] > 0
+    full = [f_norm(row, spec.weight) for row in expm_rows(spec, 0, grid)]
     assert np.max(np.abs(curve.fnorms - full)) <= 1e-12 * spec.f.sum()
 
 
@@ -797,7 +873,7 @@ def test_pade_rows_match_a_40_digit_exponential(ex22, n):
     mp = pytest.importorskip("mpmath")
     spec = ex22 if n is None else dense_chain(False, n)
     prop = Propagator(spec)
-    assert prop.method == "pade"
+    assert prop.method == "uniformized"
     grid = default_time_grid(chain_analysis(spec).gap)
     picks = [0, 15, 30, 45, 59]
     with mp.workdps(40):
@@ -809,6 +885,37 @@ def test_pade_rows_match_a_40_digit_exponential(ex22, n):
         rows = prop.row_deviations(i, grid)[picks] + spec.pi
         for P, row in zip(exact, rows):
             assert max(abs(float(P[i, j]) - row[j]) for j in range(spec.n)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [None, 5, 8])
+def test_uniformized_deviation_matches_a_40_digit_exponential(ex22, n):
+    """Whole deviations P_t - pi of example 2.2 and of two random
+    irreversible chains at 13, 25 and 40 over the true decay rate, to
+    1e-13 normwise-relative (largest entry) against mpmath at 40 digits,
+    where expm(tQ) - pi reads 1e-10, 1e-5 and 1e2.  Q's diagonal is
+    rebuilt in mpmath from the off-diagonals, and the reference pi solves
+    pi Q = 0 at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    spec = ex22 if n is None else dense_chain(False, n)
+    prop = Propagator(spec)
+    assert prop.method == "uniformized"
+    rho = chain_analysis(spec).true_decay_rate
+    m = spec.n
+    with mp.workdps(40):
+        Q = mp.matrix(spec.q.tolist())
+        for k in range(m):
+            Q[k, k] = -mp.fsum(Q[k, j] for j in range(m) if j != k)
+        # pi Q = 0 and sum(pi) = 1: Q^T pi = 0 with its last equation replaced
+        A = Q.T
+        for j in range(m):
+            A[m - 1, j] = 1
+        pi = mp.lu_solve(A, mp.matrix([0] * (m - 1) + [1]))
+        for c in (13.0, 25.0, 40.0):
+            t = c / rho
+            P = mp.expm(mp.mpf(t) * Q)
+            exact = np.array([[float(P[i, j] - pi[j]) for j in range(m)] for i in range(m)])
+            err = np.max(np.abs(prop.deviation(t) - exact)) / np.max(np.abs(exact))
+            assert err <= 1e-13, (c, err)
 
 
 # --------------------------------------------------------------------- CSV
