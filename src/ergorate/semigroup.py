@@ -9,8 +9,9 @@ uniformized route (Jensen 1953; Grassmann 1977): with Lam the largest
 exit rate, P = I + Q / Lam is stochastic and entrywise nonnegative, and
 exp(tQ) = sum_k Pois(k; Lam t) P^k, weighted by Poisson probabilities
 from the pmf recurrence.  On both, P_t is the deviation plus pi.  The
-verdict and the expansion come from the chain's memoized analysis
-(spectral.chain_analysis), so they are computed once per chain.
+verdict, the expansion and the uniformized pieces come from the chain's
+memoized analysis (spectral.chain_analysis), so they are computed once
+per chain, and the expansion only when a deviation reads it.
 
 On the uniformized route a whole deviation D(t) = P_t - 1 pi is summed
 at a short time and squared up to t (_deviation; scaling and squaring,
@@ -19,11 +20,15 @@ limit from an O(1) matrix, so its error stays small relative to D(t).
 
 Decay curves need only the start state's row of P_t.  The spectral route
 evaluates every grid time in one (G x n) @ (n x n) product.  The
-uniformized route walks the grid: every time within _UNIFORM_TERMS / Lam
-of the last time reached comes from one sequence of row-vector products
-v, vP, vP^2, ..., whose terms are all nonnegative, and a longer gap is
-taken as v D(gap) + pi from the row v reached.  A row subtracts pi only
-at the end, so its noise floor is absolute, near 1e-14.
+uniformized route walks the grid carrying the row's deviation
+v = e_i P_t - pi: every time within _UNIFORM_TERMS / Lam of the last time
+reached comes from one sequence of row-vector products v, vPt, vPt^2, ...
+with Pt = P - 1 pi, which deflates the stationary mode in each step, and a
+longer gap is taken as v D(gap).  No step subtracts pi from an O(1) row;
+the route keeps its absolute noise floor of 1e-14 for the fit.  A
+reversible chain's curve on a grid short enough is swept the same way at
+the top of its spectrum, where no term cancels, and needs no eigenvector
+(decay_curve).
 
 Rate fitting supports a plain log-linear mode for monotone curves and a
 peak-envelope mode for oscillating ones.  Oscillating curves from
@@ -40,25 +45,28 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain_core import ChainSpec, WeightFunction, dual, state_index
+from .chain_core import ChainSpec, WeightFunction, state_index
 from .errors import ErgorateError, InsufficientData, NoiseFloor, Overflow, TooLarge
-from .spectral import chain_analysis, ergodicity_constant
+from .spectral import ChainAnalysis, _uniformize, chain_analysis, ergodicity_constant
 
 # Beyond this the scaled matrix exponential is not trustworthy; far past
 # any desk-scale use.
 _MAX_TIME_RATE = 1e12
 
-# Absolute accuracy of a uniformized row's deviation, which subtracts
-# the limit from the row.
+# Accuracy floor of the uniformized route's rows on an irreversible chain,
+# whose Poisson sums can cancel.
 _UNIFORMIZED_FLOOR = 1e-14
 # The spectral route computes deviations with relative accuracy; its
 # floor is the edge of normal double range.
 _SPECTRAL_FLOOR = 1e-300
 
 # Term budget B of one uniformization segment: a decay curve evaluates
-# every grid time within B / (largest exit rate) of the last time reached
-# from one sequence of row-vector products, and takes a longer gap with
-# one whole deviation (_deviation).  Measured on a 2-vCPU x86 VM (numpy
+# every grid time within B / (uniformization rate) of the last time
+# reached from one sequence of row-vector products, and takes a longer gap
+# with one whole deviation (_deviation).  A reversible curve is swept, in
+# place of the expansion's eigh, only when its whole grid fits in
+# min(n, B) terms' worth of rate times time: the sweep's cost grows with
+# the terms, the eigh's with n^3.  Measured on a 2-vCPU x86 VM (numpy
 # 2.4, one BLAS thread, best of 9) against a dense Pade exponential, not
 # against _deviation, a one-time segment of Poisson mean B costs the
 # same as one dense row exponential over its span at B ~ 20 for n = 50,
@@ -79,9 +87,11 @@ class DecayCurve:
     ``envelope`` is the theoretical bound constant * exp(-rate * t) with
     the per-state constant and the variational-gap rate;
     ``envelope_rate`` stores that rate for window defaults.
-    ``noise_floor`` is the accuracy floor of the method that produced
-    ``fnorms`` (absolute ~1e-14 for the uniformized route, edge of
-    double range for the spectral route).
+    ``method`` names the route that produced ``fnorms``: "spectral" or
+    "uniformized".  ``noise_floor`` is the accuracy floor of the chain's
+    verdict, not of the method: the edge of double range on a reversible
+    chain, whose curves keep relative accuracy on both routes (a swept
+    one has no cancelling term), and 1e-14 otherwise.
     """
 
     state: int
@@ -120,21 +130,21 @@ class Propagator:
     The chain's detailed-balance verdict picks the route, recorded in
     ``method``: "spectral" on a reversible chain, "uniformized" otherwise.  The
     verdict and the spectral factors are read from the chain's memoized
-    analysis, so building a propagator does no O(n^2) work and every
-    propagator of one spec shares one expansion of the decaying modes.
+    analysis, so building a propagator does no O(n^2) work and takes no
+    decomposition; the spectral deviations read the expansion of the
+    decaying modes, built once per spec, on first use.
     ``deviation`` returns the full n x n P_t - pi, and ``matrix`` adds
     pi to it, for the identity checks and ``verify``.
-    ``row_deviations`` is the one row path, read by decay curves and
-    h_function.
+    ``row_deviations`` is the one row path, read by h_function and by
+    every decay curve that is not swept (decay_curve).
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
-        analysis = chain_analysis(spec)
-        if analysis.reversible:
+        self._analysis = chain_analysis(spec)
+        if self._analysis.reversible:
             self.method = "spectral"
             self.noise_floor = _SPECTRAL_FLOOR
-            self._lam, self._psi, self._phi = analysis.expansion
         else:
             self.method = "uniformized"
             self.noise_floor = _UNIFORMIZED_FLOOR
@@ -168,8 +178,9 @@ class Propagator:
         """
         t = self._checked([t])[0]
         if self.method == "spectral":
-            return (self._psi * np.exp(-t * self._lam)[None, :]) @ self._phi
-        return _deviation(self.spec.q, self.spec.pi, t)
+            lam, psi, phi = self._analysis.expansion
+            return (psi * np.exp(-t * lam)[None, :]) @ phi
+        return _deviation(self._analysis, t)
 
     def row_deviations(self, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
         """Rows P_t(i, .) - pi for increasing ``times``, shape (G, n).
@@ -188,8 +199,9 @@ class Propagator:
         """
         i, times = state_index(i, self.spec.n), self._checked(times)
         if self.method == "spectral":
-            return (self._psi[i] * np.exp(-np.outer(times, self._lam))) @ self._phi
-        return _uniformized_rows(self.spec.q, self.spec.pi, i, times) - self.spec.pi
+            lam, psi, phi = self._analysis.expansion
+            return (psi[i] * np.exp(-np.outer(times, lam))) @ phi
+        return _uniformized_rows(self._analysis, i, times)
 
 
 def _poisson_weights(mu: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -209,34 +221,21 @@ def _poisson_weights(mu: NDArray[np.float64]) -> NDArray[np.float64]:
     return w[: int(np.argmax(tail < _POISSON_TAIL))]
 
 
-def _uniformized(q: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
-    """(P, Lam): Lam the largest exit rate and P = I + Q / Lam, entrywise
-    nonnegative and row-stochastic, its diagonal rebuilt from the
-    off-diagonal rates."""
-    off = q - np.diag(np.diag(q))
-    exits = off.sum(axis=1)
-    lam = float(exits.max())
-    P = off / lam
-    np.fill_diagonal(P, 1.0 - exits / lam)
-    return P, lam
+def _deviation(a: ChainAnalysis, t: float) -> NDArray[np.float64]:
+    """exp(tQ) - 1 pi for the chain of analysis ``a``, t >= 0.
 
-
-def _deviation(q: NDArray[np.float64], pi: NDArray[np.float64], t: float) -> NDArray[np.float64]:
-    """exp(tQ) - 1 pi for a generator q with stationary law pi, t >= 0.
-
-    With (P, Lam) from _uniformized and Pt = P - 1 pi, take s = 0 if
-    Lam t <= 1, else ceil(log2(Lam t)), and tau = t / 2^s.  Then
+    With (Lam, Pt = P - 1 pi, I - 1 pi) the chain's memoized uniformized
+    pieces (spectral._uniformize), take s = 0 if Lam t <= 1, else
+    ceil(log2(Lam t)), and tau = t / 2^s.  Then
     D(tau) = sum_k Pois(k; Lam tau) (I - 1 pi) Pt^k: each term is the
     last one times Pt, starting from I - 1 pi.  Squaring s times gives
     D(t), because D(2 tau) = D(tau)^2 (1 pi commutes with P_t, and
     (1 pi)^2 = 1 pi).  No step subtracts the limit from an O(1) matrix,
     so the error stays small relative to D(t) as it decays.
     """
-    P, lam = _uniformized(q)
-    tilde = P - pi
+    lam, tilde, term = a._uniformized
     s = int(np.ceil(np.log2(lam * t))) if lam * t > 1.0 else 0
     weights = _poisson_weights(np.array([lam * t / 2.0**s]))[:, 0]
-    term = np.eye(q.shape[0]) - pi
     dev = weights[0] * term
     for w in weights[1:]:
         term = term @ tilde
@@ -247,37 +246,41 @@ def _deviation(q: NDArray[np.float64], pi: NDArray[np.float64], t: float) -> NDA
 
 
 def _uniformized_rows(
-    q: NDArray[np.float64], pi: NDArray[np.float64], i: int, times: NDArray[np.float64]
+    a: ChainAnalysis, i: int, times: NDArray[np.float64], rate: float = 0.0
 ) -> NDArray[np.float64]:
-    """Rows e_i exp(tQ) for increasing nonnegative ``times``, shape (G, n),
-    of a generator q with stationary law pi.
+    """Deviations e_i exp(tQ) - pi for increasing nonnegative ``times``,
+    shape (G, n), of the chain of analysis ``a``.
 
-    Uniformization: with (P, Lam) from _uniformized,
-    e_i exp(tQ) = sum_k Pois(k; Lam t) e_i P^k, a sum of nonnegative
-    terms with no cancellation.  The row is carried along the grid from
+    Uniformization at rate Lam, the larger of ``rate`` and the largest
+    exit rate: with Pt = P - 1 pi from spectral._uniformize (memoized on
+    ``a`` at the default rate), e_i exp(tQ) - pi =
+    sum_k Pois(k; Lam t) (e_i - pi) Pt^k.  The deviation itself is
+    carried, and each step deflates the stationary mode, so no step
+    subtracts pi from an O(1) row.  The row is carried along the grid from
     the last time reached: all grid times within _UNIFORM_TERMS / Lam of
-    it come from one sequence v, vP, ..., vP^K and one (G x K) @ (K x n)
-    product; a longer gap is taken as v _deviation(gap) + pi.
+    it come from one sequence v, vPt, ..., vPt^K and one (G x K) @ (K x n)
+    product; a longer gap is taken as v _deviation(gap).
     """
-    n = q.shape[0]
-    P, lam = _uniformized(q)
+    pi = a.stationary.p
+    lam, tilde = a._uniformized[:2] if rate == 0.0 else _uniformize(a.rate_matrix.q, pi, rate)
+    n = pi.size
     span = _UNIFORM_TERMS / lam
     rows = np.empty((times.size, n))
-    v = np.zeros(n)
-    v[i] = 1.0
+    v = -pi
+    v[i] += 1.0
     t0 = 0.0
     j = 0
     while j < times.size:
         end = int(np.searchsorted(times, t0 + span, side="right"))
         if end == j:
-            rows[j] = v @ _deviation(q, pi, times[j] - t0) + pi
+            rows[j] = v @ _deviation(a, times[j] - t0)
             end = j + 1
         else:
             w = _poisson_weights(lam * (times[j:end] - t0))
             powers = np.empty((w.shape[0], n))
             powers[0] = v
             for k in range(1, w.shape[0]):
-                np.dot(powers[k - 1], P, out=powers[k])
+                np.dot(powers[k - 1], tilde, out=powers[k])
             rows[j:end] = w.T @ powers
         t0 = float(times[end - 1])
         v = rows[end - 1]
@@ -311,24 +314,38 @@ def decay_curve(spec: ChainSpec, i: int, grid: NDArray[np.float64]) -> DecayCurv
     """Weighted-norm distance of P_t(i, .) to stationarity over a grid,
     with the theoretical exponential envelope alongside.
 
-    Only row i of P_t is computed, by Propagator.row_deviations, which
-    also checks the state and the grid.  The envelope rate is the gap
-    from the chain's memoized analysis.
+    Only row i of P_t is computed.  On a reversible chain whose grid ends
+    at t_max with Lam' t_max <= min(n, _UNIFORM_TERMS), the row's
+    deviation is swept by uniformization at rate Lam' = max(Lam, lam_max)
+    (_uniformized_rows), and no eigenvector is computed; every other curve
+    comes from Propagator.row_deviations.  lam_max, the top of the
+    symmetrized spectrum, is at least that matrix's largest diagonal entry
+    -q_ii, so Lam' is lam_max up to the row-sum tolerance and the rule
+    reads lam_max.  At Lam' every mode's multiplier 1 - lam_k / Lam' lies
+    in [0, 1]: no term of the sweep cancels, and the curve keeps the
+    spectral route's relative accuracy and noise floor.  The rule reads
+    only n, lam_max and the grid, so a curve does not depend on what was
+    computed before it.  ``method`` names the route that made the rows.
+    The state and the grid are checked as row_deviations checks them.
+    The envelope rate is the gap from the chain's memoized analysis.
     """
-    grid = np.asarray(grid, dtype=float)
     prop = Propagator(spec)
-    fn = np.abs(prop.row_deviations(i, grid)) @ spec.f
-    g = chain_analysis(spec).gap
+    i, grid = state_index(i, spec.n), prop._checked(grid)
+    a = chain_analysis(spec)
+    top = -a.spectrum[-1].real if a.reversible else None
+    if top is not None and top * grid[-1] <= min(spec.n, _UNIFORM_TERMS):
+        method, rows = "uniformized", _uniformized_rows(a, i, grid, top)
+    else:
+        method, rows = prop.method, prop.row_deviations(i, grid)
     C = ergodicity_constant(spec.stationary, spec.weight)[i]
-    env = C * np.exp(-g * grid)
     return DecayCurve(
-        state=int(i),
+        state=i,
         times=grid,
-        fnorms=fn,
-        envelope=env,
-        envelope_rate=g,
+        fnorms=np.abs(rows) @ spec.f,
+        envelope=C * np.exp(-a.gap * grid),
+        envelope_rate=a.gap,
         noise_floor=prop.noise_floor,
-        method=prop.method,
+        method=method,
     )
 
 
@@ -480,10 +497,8 @@ def mu_ft_norm(mu: NDArray[np.float64], spec: ChainSpec, t: float) -> tuple[floa
     if not (np.all(mu >= 0.0) and abs(mu.sum() - 1.0) <= 1e-10):
         raise ErgorateError("mu must be a probability vector")
     direct = f_norm(mu @ Propagator(spec).deviation(t), spec.weight)
-
-    Qhat = dual(spec.rate_matrix, spec.stationary)
     h = mu / spec.pi
-    via_dual = float(np.dot(spec.pi, spec.f * np.abs(_deviation(Qhat.q, spec.pi, t) @ h)))
+    via_dual = float(np.dot(spec.pi, spec.f * np.abs(_deviation(chain_analysis(spec)._dual, t) @ h)))
     return direct, via_dual
 
 

@@ -19,11 +19,14 @@ functions gap, eigenvalues and true_decay_rate read a fresh
 ChainAnalysis(Q, pi, tol), so they equal the report's fields exactly.
 Per chain, the analysis is memoized on the ChainSpec (chain_analysis);
 spectral_report, the propagator, decay curves and the CLI read it.
-Reversible (at the spec's rev_tol): one eigh, kept as the expansion of
-the n - 1 decaying modes; the gap and the real spectrum, an exact 0 then
-the decaying rates, are read from it.  Irreversible: one values-only
-eigvalsh for the gap (no eigenvector enters it, and the uniformized route
-reads none) and one general eigvals of Q for the spectrum.
+Every chain takes one values-only eigvalsh of the symmetrized generator,
+and the gap is its lam[1].  Reversible (at the spec's rev_tol): the
+real spectrum is an exact 0 then minus lam[1:], and the one eigh, the
+expansion of the n - 1 decaying modes, is taken only when a reader needs
+eigenvectors (whole matrices, h-functions, decay curves on grids too
+long to sweep).  Irreversible: one general eigvals of Q for the
+spectrum.  The analysis also keeps the uniformized chain and the dual
+that the uniformized route reads, so they are built once per chain.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .chain_core import (
     RateMatrix,
     Tolerances,
     WeightFunction,
+    dual,
     is_reversible,
 )
 from .errors import EigenFailure, ErgorateError, NoDrift
@@ -92,6 +96,21 @@ class DriftReport:
 def _zero_tol(Q: RateMatrix) -> float:
     """Largest |eigenvalue| taken for the zero mode of Q."""
     return EIG_TOL * max(Q.max_rate, 1e-300)
+
+
+def _uniformize(
+    q: NDArray[np.float64], pi: NDArray[np.float64], rate: float = 0.0
+) -> tuple[float, NDArray[np.float64]]:
+    """(Lam, P - 1 pi): Lam the larger of ``rate`` and the largest exit
+    rate, and P = I + Q / Lam, entrywise nonnegative and row-stochastic,
+    its diagonal rebuilt from the off-diagonal rates.  Subtracting 1 pi
+    deflates the stationary mode: a row v with v . 1 = 0 steps to vP."""
+    off = q - np.diag(np.diag(q))
+    exits = off.sum(axis=1)
+    rate = max(rate, float(exits.max()))
+    P = off / rate
+    np.fill_diagonal(P, 1.0 - exits / rate)
+    return rate, P - pi
 
 
 def symmetric_eigendecomposition(
@@ -153,24 +172,27 @@ class ChainAnalysis:
 
     - ``reversible``/``violation``: the detailed-balance test at
       ``tol.rev_tol``, the spec's own.
+    - ``gap``: lam[1] of the pi-symmetrized generator, from one
+      values-only eigvalsh (symmetric_eigendecomposition with
+      ``vectors=False``), on either verdict: no eigenvector enters it.
+    - ``spectrum``: the spectrum of Q, sorted by descending real part then
+      ascending imaginary part, with exactly one zero eigenvalue.
+      Reversible: an exact 0, then minus lam[1:] of the same eigvalsh,
+      real.  Irreversible: one eigvals of Q.
+    - ``true_decay_rate``: minus the largest real part over the nonzero
+      spectrum; equal to ``gap`` exactly on a reversible chain.
     - ``expansion``: the n - 1 decaying modes of the one eigh
       (symmetric_eigendecomposition), (lam[1:], W / d, (W d)^T) with W
       the columns V[:, 1:] projected orthogonal to d = sqrt(pi), so
       P_t - pi = (W / d) diag(exp(-t lam[1:])) (W d)^T on a reversible
-      chain.  The stationary mode is not stored.  Read on a reversible
-      chain only: on an irreversible one it would expand the
-      reversibilization, not Q.  The spectral propagator reads it, so
+      chain.  The stationary mode is not stored.  Built only when read,
+      on a reversible chain only: on an irreversible one it would expand
+      the reversibilization, not Q.  The spectral propagator reads it, so
       every propagator of one chain shares these two factors.
-    - ``gap``: lam[1] of the pi-symmetrized generator.  Reversible: the
-      first decaying rate of ``expansion``.  Irreversible: one
-      values-only eigvalsh of the same matrix, since no eigenvector
-      enters the gap and the uniformized route reads none.
-    - ``spectrum``: the spectrum of Q, sorted by descending real part then
-      ascending imaginary part, with exactly one zero eigenvalue.
-      Reversible: an exact 0, then minus the rates of ``expansion``,
-      real.  Irreversible: one eigvals of Q.
-    - ``true_decay_rate``: minus the largest real part over the nonzero
-      spectrum; equal to ``gap`` exactly on a reversible chain.
+
+    The uniformized route reads two private memos: ``_uniformized``, the
+    chain's (Lam, P - 1 pi, I - 1 pi) from _uniformize, and ``_dual``,
+    the analysis of the validated time-reversal dual (mu_ft_norm).
 
     Obtain one through chain_analysis(spec), which memoizes it on the
     spec.  It holds the generator and stationary law, not the spec, so
@@ -195,6 +217,11 @@ class ChainAnalysis:
         return self._verdict[1]
 
     @cached_property
+    def _rates(self) -> NDArray[np.float64]:
+        lam, _, _ = symmetric_eigendecomposition(self.rate_matrix, self.stationary, vectors=False)
+        return lam
+
+    @cached_property
     def expansion(
         self,
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
@@ -205,16 +232,13 @@ class ChainAnalysis:
 
     @cached_property
     def gap(self) -> float:
-        if self.reversible:
-            return float(self.expansion[0][0])
-        lam, _, _ = symmetric_eigendecomposition(self.rate_matrix, self.stationary, vectors=False)
-        return float(lam[1])
+        return float(self._rates[1])
 
     @cached_property
     def spectrum(self) -> tuple[complex, ...]:
         if self.reversible:
             # the rates ascend, so their negatives already descend
-            return (0j, *(-self.expansion[0]).astype(complex).tolist())
+            return (0j, *(-self._rates[1:]).astype(complex).tolist())
         try:
             lam = np.linalg.eigvals(self.rate_matrix.q)
         except np.linalg.LinAlgError as exc:
@@ -229,6 +253,15 @@ class ChainAnalysis:
     def true_decay_rate(self) -> float:
         tol = _zero_tol(self.rate_matrix)
         return float(-max(z.real for z in self.spectrum if abs(z) > tol))
+
+    @cached_property
+    def _uniformized(self) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
+        pi = self.stationary.p
+        return (*_uniformize(self.rate_matrix.q, pi), np.eye(self.rate_matrix.n) - pi)
+
+    @cached_property
+    def _dual(self) -> ChainAnalysis:
+        return ChainAnalysis(dual(self.rate_matrix, self.stationary), self.stationary, self.tol)
 
 
 def chain_analysis(spec: ChainSpec) -> ChainAnalysis:
@@ -252,10 +285,10 @@ def spectral_report(spec: ChainSpec) -> SpectralReport:
     The certified rate equals the gap in both directions for reversible
     chains and is a lower bound for irreversible ones; the slowest true
     decay mode is always reported alongside.  Reads the chain's memoized
-    ChainAnalysis.  Reversible (judged at the spec's rev_tol): one eigh
-    per spec, and the eigenvalues are an exact 0 and minus the
-    symmetrized generator's decaying rates.  Irreversible: one eigvalsh
-    and one eigvals.
+    ChainAnalysis: one values-only eigvalsh per spec for the gap.
+    Reversible (judged at the spec's rev_tol): the eigenvalues are an
+    exact 0 and minus the symmetrized generator's decaying rates, and no
+    eigenvector is computed.  Irreversible: one eigvals besides.
     """
     a = chain_analysis(spec)
     return SpectralReport(

@@ -36,20 +36,24 @@ def write_chain(tmp_path, name, obj):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        # a reversible chain's spectrum is read from its eigh: no eigvals
-        (["analyze", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
-        # irreversible: the gap from a values-only eigvalsh, no eigh
+        # every chain's gap and a reversible chain's spectrum come from one
+        # values-only eigvalsh: no eigh, no eigvals
+        (["analyze", *EX21_ARGS], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}),
+        # irreversible: the gap from the eigvalsh, the spectrum from eigvals
         (["analyze", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
-        (["fit", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
-        (["decay", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
+        # three states: the default grid is too long to sweep, so the curve
+        # reads the expansion's eigh
+        (["fit", *EX21_ARGS], {"eigh": 1, "eigvalsh": 1, "eigvals": 0, "expm": 0}),
+        (["decay", *EX21_ARGS], {"eigh": 1, "eigvalsh": 1, "eigvals": 0, "expm": 0}),
         # irreversible: the uniformized route steps the row, no dense expm
         (["decay", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
-        (["drift", *EX21_ARGS], {"eigh": 1, "eigvalsh": 0, "eigvals": 0, "expm": 0}),
-        # the battery reads each chain's memo: one eigh per reversible chain
-        # (three battery chains, one lemma chain), example22's eigvalsh and
-        # eigvals; the uniformized route's matrices and mu_ft_norm's dual
-        # are semigroup._deviation, no expm
-        (["verify"], {"eigh": 4, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
+        (["drift", *EX21_ARGS], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}),
+        # the battery reads each chain's memo: one eigvalsh per battery chain
+        # for its gap (the lemma chain's gap is not read), one eigh per
+        # reversible chain for its matrices (three battery chains, one lemma
+        # chain) and example22's eigvals; the uniformized route's matrices
+        # and mu_ft_norm's dual are semigroup._deviation, no expm
+        (["verify"], {"eigh": 4, "eigvalsh": 4, "eigvals": 1, "expm": 0}),
     ],
 )
 def test_decompositions_per_call(capsys, decomposition_counts, argv, expected):

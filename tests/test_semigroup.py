@@ -30,6 +30,7 @@ from ergorate.errors import (
     Overflow,
     TooLarge,
 )
+from ergorate.htransform import h_function
 from ergorate.semigroup import (
     DecayCurve,
     Propagator,
@@ -60,7 +61,7 @@ def test_expm_two_state_closed_form():
     spec = two_state()
     # the chain's own (spectral) route, the uniformized deviation directly,
     # and scipy's Pade exponential, the oracle of other tests
-    uniformized = semigroup._deviation(spec.q, spec.pi, 1.0) + spec.pi
+    uniformized = semigroup._deviation(chain_analysis(spec), 1.0) + spec.pi
     for P in (Propagator(spec).matrix(1.0), uniformized, scipy.linalg.expm(spec.q)):
         assert P[0, 0] == pytest.approx(0.5 + 0.5 * np.exp(-2.0), abs=1e-13)
         assert P[0, 1] == pytest.approx(0.5 - 0.5 * np.exp(-2.0), abs=1e-13)
@@ -647,21 +648,24 @@ def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
     spec = dense_chain(reversible, n)
     rep = spectral_report(spec)
     grid = default_time_grid(rep.gap if rep.reversible else rep.true_decay_rate)
-    fit_rate(decay_curve(spec, 1, grid))
-    # default-grid curves take no dense exponential on either route; a
-    # reversible chain reads its spectrum from the eigh, an irreversible one
-    # takes its gap from a values-only eigvalsh and pays for no eigenvectors
+    curve = decay_curve(spec, 1, grid)
+    fit_rate(curve)
+    # default-grid curves take no dense exponential on either route; every
+    # chain takes its gap from a values-only eigvalsh, and a reversible one
+    # its spectrum too.  A reversible default grid is swept from n = ABOVE
+    # on, with no eigenvector; below, it is too long to sweep and the curve
+    # reads the expansion's eigh.  An irreversible chain takes one eigvals.
     counts = {"eigh": 0, "eigvalsh": 1, "eigvals": 1}
     if reversible:
-        counts = {"eigh": 1, "eigvalsh": 0, "eigvals": 0}
+        counts = {"eigh": int(n < ABOVE), "eigvalsh": 1, "eigvals": 0}
     assert decomposition_counts == {**counts, "expm": 0}
+    assert curve.method == ("uniformized" if not reversible or n >= ABOVE else "spectral")
     # the analysis is memoized on the spec; the per-generator functions are not
     assert chain_analysis(spec) is chain_analysis(spec)
     assert spectral_report(spec).to_dict() == rep.to_dict()
     assert decomposition_counts == {**counts, "expm": 0}
     gap(spec.rate_matrix, spec.stationary)
-    solver = "eigh" if reversible else "eigvalsh"
-    assert decomposition_counts == {**counts, solver: 2, "expm": 0}
+    assert decomposition_counts == {**counts, "eigvalsh": 2, "expm": 0}
 
 
 @pytest.mark.parametrize("reversible", [True, False])
@@ -679,11 +683,12 @@ def test_row_curve_matches_full_deviation(reversible, n, method):
     grid = default_time_grid(chain_analysis(spec).gap)
     if method == prop.method:
         curve = decay_curve(spec, 2, grid)
-        assert curve.method == method
+        # decay_curve sweeps a reversible chain's default grid from n = ABOVE on
+        assert curve.method == ("uniformized" if reversible and n >= ABOVE else method)
         fnorms = curve.fnorms
     else:
         # the uniformized path on a reversible chain, called directly
-        fnorms = np.abs(semigroup._uniformized_rows(spec.q, spec.pi, 2, grid) - spec.pi) @ spec.f
+        fnorms = np.abs(semigroup._uniformized_rows(chain_analysis(spec), 2, grid)) @ spec.f
     if method == "spectral":
         full = [f_norm(prop.deviation(t)[2], spec.weight) for t in grid]
     else:
@@ -722,8 +727,11 @@ def test_matrix_is_deviation_plus_pi(request, chain):
 def test_propagators_of_one_chain_share_the_expansion(decomposition_counts):
     spec = dense_chain(True, ABOVE)
     first, second = Propagator(spec), Propagator(spec)
-    # the factors are built once per chain, not once per propagator
-    assert first._psi is second._psi and first._phi is second._phi
+    # building a propagator takes no decomposition; the factors are built
+    # once per chain, when a deviation first reads them
+    assert decomposition_counts["eigh"] == 0
+    first.deviation(1.0)
+    second.row_deviations(0, np.array([1.0]))
     assert decomposition_counts["eigh"] == 1
 
 
@@ -736,7 +744,7 @@ def test_pade_rows_match_spectral_rows(n):
     spectral = Propagator(spec)
     assert spectral.method == "spectral"
     for i in (0, n - 1):
-        rows = semigroup._uniformized_rows(spec.q, spec.pi, i, grid) - spec.pi
+        rows = semigroup._uniformized_rows(chain_analysis(spec), i, grid)
         err = np.abs(rows - spectral.row_deviations(i, grid))
         assert np.max(err) <= 1e-14
 
@@ -745,7 +753,7 @@ def test_pade_rows_match_spectral_rows(n):
 def test_pade_curve_on_a_grid_from_time_zero(reversible):
     spec = dense_chain(reversible, 7)
     grid = np.linspace(0.0, 10.0 / chain_analysis(spec).gap, 40)
-    rows = semigroup._uniformized_rows(spec.q, spec.pi, 2, grid) - spec.pi
+    rows = semigroup._uniformized_rows(chain_analysis(spec), 2, grid)
     unit = np.zeros(spec.n)
     unit[2] = 1.0
     assert np.array_equal(rows[0], unit - spec.pi)
@@ -829,7 +837,7 @@ def test_stiff_chain_takes_coarse_gaps_densely(segment_sizes, deviation_calls):
 def test_reversible_chain_forced_to_pade_steps_the_row(segment_sizes, decomposition_counts):
     spec = dense_chain(True, ABOVE)
     grid = default_time_grid(chain_analysis(spec).gap)
-    semigroup._uniformized_rows(spec.q, spec.pi, 0, grid)
+    semigroup._uniformized_rows(chain_analysis(spec), 0, grid)
     # the default grid lies within one term budget: one segment
     assert segment_sizes == [grid.size]
     assert decomposition_counts["expm"] == 0
@@ -916,6 +924,129 @@ def test_uniformized_deviation_matches_a_40_digit_exponential(ex22, n):
             exact = np.array([[float(P[i, j] - pi[j]) for j in range(m)] for i in range(m)])
             err = np.max(np.abs(prop.deviation(t) - exact)) / np.max(np.abs(exact))
             assert err <= 1e-13, (c, err)
+
+
+def mp_deviations(spec, times):
+    """P_t - pi at each of ``times`` from mpmath's expm at 40 digits, Q's
+    diagonal rebuilt from the off-diagonals and pi solving pi Q = 0 at 40
+    digits, as float arrays."""
+    mp = pytest.importorskip("mpmath")
+    m = spec.n
+    with mp.workdps(40):
+        Q = mp.matrix(spec.q.tolist())
+        for k in range(m):
+            Q[k, k] = -mp.fsum(Q[k, j] for j in range(m) if j != k)
+        A = Q.T
+        for j in range(m):
+            A[m - 1, j] = 1
+        pi = mp.lu_solve(A, mp.matrix([0] * (m - 1) + [1]))
+        out = []
+        for t in times:
+            P = mp.expm(mp.mpf(t) * Q)
+            out.append(np.array([[float(P[i, j] - pi[j]) for j in range(m)] for i in range(m)]))
+    return out
+
+
+@pytest.mark.parametrize("chain", ["two_state", "ex21", "bd6", 5, 8])
+def test_swept_reversible_curves_match_a_40_digit_exponential(request, chain):
+    """A reversible chain swept at Lam' = max(Lam, top of the spectrum),
+    every mode's multiplier in [0, 1], keeps relative accuracy: curves
+    from every state at 5, 13 and 25 over the gap within 1e-13 relative
+    of mpmath.  The two-state chain has gap 2 Lam (swept at its exit rate,
+    its one multiplier is -1); example 2.1's gap exceeds its largest exit
+    rate."""
+    if chain == "two_state":
+        spec = two_state()
+    elif isinstance(chain, int):
+        spec = dense_chain(True, chain)
+    else:
+        spec = request.getfixturevalue(chain)
+    a = chain_analysis(spec)
+    top = -a.spectrum[-1].real
+    rho = a.gap
+    exits = float(np.max(-np.diag(spec.q)))
+    assert top >= exits
+    if chain == "two_state":
+        assert rho == pytest.approx(2.0 * exits, rel=1e-15)
+    if chain == "ex21":
+        assert rho > exits
+    times = np.array([5.0, 13.0, 25.0]) / rho
+    exact = mp_deviations(spec, times)
+    for i in range(spec.n):
+        rows = semigroup._uniformized_rows(a, i, times, top)
+        curve = np.abs(rows) @ spec.f
+        ref = np.array([np.abs(D[i]) @ spec.f for D in exact])
+        assert np.max(np.abs(curve - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("n, bound", [(None, 1e-12), (5, 1e-13), (8, 1e-13)])
+def test_deflated_irreversible_rows_match_a_40_digit_exponential(ex22, n, bound):
+    """The uniformized rows carry the deviation, so at 13 over the true
+    decay rate, where subtracting pi from the law's row lost 3e-11 to
+    7e-11 relative on example 2.2, each row is within ``bound``
+    normwise-relative (largest entry) of mpmath.  Example 2.2 reads 3e-13
+    to 6e-13: every decaying mode of its P = I + Q / Lam has |mu| = 0.71,
+    so the Poisson sum's terms fall like exp(-0.29 t) while the row falls
+    like exp(-1.25 t), and rounding is amplified by their ratio, 2e4 at
+    13 / 1.25."""
+    spec = ex22 if n is None else dense_chain(False, n)
+    prop = Propagator(spec)
+    assert prop.method == "uniformized"
+    t = 13.0 / chain_analysis(spec).true_decay_rate
+    (exact,) = mp_deviations(spec, [t])
+    for i in range(spec.n):
+        row = prop.row_deviations(i, np.array([t]))[0]
+        assert np.max(np.abs(row - exact[i])) <= bound * np.max(np.abs(exact[i]))
+
+
+def mm1(n=200, load=0.9):
+    """A stiff M/M/1 queue truncated at n states: gap about 2.6e-3 against
+    a top rate about 3.8."""
+    return build_birth_death(np.full(n - 1, load), np.ones(n - 1), np.ones(n))
+
+
+@pytest.mark.parametrize("n", [ABOVE, 200])
+def test_a_sweepable_reversible_curve_takes_no_eigenvector(decomposition_counts, n):
+    spec = dense_chain(True, n)
+    grid = default_time_grid(chain_analysis(spec).gap)
+    curve = decay_curve(spec, 1, grid)
+    assert curve.method == "uniformized" and curve.noise_floor == 1e-300
+    assert decomposition_counts == {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}
+    # the same rows from the expansion, which is built only now
+    full = np.abs(Propagator(spec).row_deviations(1, grid)) @ spec.f
+    assert decomposition_counts["eigh"] == 1
+    assert np.max(np.abs(curve.fnorms - full) / full) <= 1e-12
+
+
+@pytest.mark.parametrize("reader", ["mm1-curve", "h_function", "deviation", "matrix"])
+def test_readers_that_keep_the_expansion(decomposition_counts, reader):
+    # h_function divides its rows by pi and whole matrices need every row,
+    # so both read the expansion whatever the time; so does a curve whose
+    # grid is too long to sweep (the stiff M/M/1 queue's default grid)
+    if reader == "mm1-curve":
+        spec = mm1()
+        curve = decay_curve(spec, 0, default_time_grid(chain_analysis(spec).gap))
+        assert curve.method == "spectral"
+        assert -chain_analysis(spec).spectrum[-1].real * curve.times[-1] > spec.n
+    else:
+        spec = dense_chain(True, ABOVE)
+        prop = Propagator(spec)
+        {"h_function": lambda: h_function(spec, 0, 1.0), "deviation": lambda: prop.deviation(1.0),
+         "matrix": lambda: prop.matrix(1.0)}[reader]()
+    assert decomposition_counts["eigh"] == 1
+
+
+@pytest.mark.parametrize("n", [7, ABOVE])
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_scaling_the_generator_keeps_the_route(n, c):
+    # Q -> cQ scales Lam' by c and the default grid by 1 / c: the rule
+    # reads their product, so the route and the curve stay
+    spec = dense_chain(True, n)
+    scaled = chain_spec(validate(c * spec.q), spec.weight)
+    grid = default_time_grid(chain_analysis(spec).gap)
+    base, moved = decay_curve(spec, 1, grid), decay_curve(scaled, 1, grid / c)
+    assert moved.method == base.method == ("uniformized" if n >= ABOVE else "spectral")
+    assert np.max(np.abs(moved.fnorms - base.fnorms) / base.fnorms) <= 1e-12
 
 
 # --------------------------------------------------------------------- CSV
