@@ -375,8 +375,9 @@ def _verify_checks(n_lemma: int, input_spec: ChainSpec | None, tol: Tolerances):
         worst = 0.0
         for i in range(spec.n):
             h, _, _ = h_function(spec, i, 0.5)
-            worst = max(worst, float(np.max(np.abs(T.pif(h.values)))))
-        return worst <= 1e-12, f"worst residual {worst:.3e}"
+            # row i's deviation is divided by sqrt(pi_i), and so is its rounding
+            worst = max(worst, float(np.max(np.abs(T.pif(h.values)))) * np.sqrt(spec.pi[i]))
+        return worst <= 1e-14, f"worst residual x sqrt(pi_i) {worst:.3e}"
 
     @check("montecarlo.holding_times")
     def holding_times():

@@ -3,10 +3,12 @@
 The transition semigroup P_t = exp(tQ) has one propagator per chain, and
 the chain's detailed-balance verdict picks its route.  A reversible chain
 takes the spectral route: the eigen-expansion of the symmetrized
-generator's n - 1 decaying modes, which yields the deviation P_t - pi
-with *relative* accuracy at any magnitude.  Any other chain takes the
-uniformized route (Jensen 1953; Grassmann 1977): with Lam the largest
-exit rate, P = I + Q / Lam is stochastic and entrywise nonnegative, and
+generator's n - 1 decaying modes, one orthonormal factor W with
+P_t - pi = D^-1 W exp(-t lam) W^T D, D = diag(sqrt(pi)), which yields the
+deviation with *relative* accuracy at any magnitude.  Any other chain
+takes the uniformized route (Jensen 1953; Grassmann 1977): at the rate
+Lam that the chain's analysis sets, its largest exit rate, P = I + Q / Lam
+is stochastic and entrywise nonnegative, and
 exp(tQ) = sum_k Pois(k; Lam t) P^k, weighted by Poisson probabilities
 from the pmf recurrence.  On both, P_t is the deviation plus pi.  The
 verdict, the expansion and the uniformized pieces come from the chain's
@@ -26,9 +28,9 @@ reached comes from one sequence of row-vector products v, vPt, vPt^2, ...
 with Pt = P - 1 pi, which deflates the stationary mode in each step, and a
 longer gap is taken as v D(gap).  No step subtracts pi from an O(1) row;
 the route keeps its absolute noise floor of 1e-14 for the fit.  A
-reversible chain's curve on a grid short enough is swept the same way at
-the top of its spectrum, where no term cancels, and needs no eigenvector
-(decay_curve).
+reversible chain's curve on a grid short enough is swept the same way and
+needs no eigenvector (decay_curve); on a reversible chain the analysis
+raises the rate to the top of the spectrum, where no term cancels.
 
 Rate fitting supports a plain log-linear mode for monotone curves and a
 peak-envelope mode for oscillating ones.  Oscillating curves from
@@ -47,7 +49,7 @@ from numpy.typing import NDArray
 
 from .chain_core import ChainSpec, WeightFunction, state_index
 from .errors import ErgorateError, InsufficientData, NoiseFloor, Overflow, TooLarge
-from .spectral import ChainAnalysis, _uniformize, chain_analysis, ergodicity_constant
+from .spectral import ChainAnalysis, chain_analysis, ergodicity_constant
 
 # Beyond this the scaled matrix exponential is not trustworthy; far past
 # any desk-scale use.
@@ -129,7 +131,7 @@ class Propagator:
 
     The chain's detailed-balance verdict picks the route, recorded in
     ``method``: "spectral" on a reversible chain, "uniformized" otherwise.  The
-    verdict and the spectral factors are read from the chain's memoized
+    verdict and the spectral factor are read from the chain's memoized
     analysis, so building a propagator does no O(n^2) work and takes no
     decomposition; the spectral deviations read the expansion of the
     decaying modes, built once per spec, on first use.
@@ -178,8 +180,8 @@ class Propagator:
         """
         t = self._checked([t])[0]
         if self.method == "spectral":
-            lam, psi, phi = self._analysis.expansion
-            return (psi * np.exp(-t * lam)[None, :]) @ phi
+            lam, W, d = self._analysis.expansion
+            return ((W * np.exp(-t * lam)) @ W.T) * (d / d[:, None])
         return _deviation(self._analysis, t)
 
     def row_deviations(self, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -188,8 +190,8 @@ class Propagator:
         Equals deviation(t)[i] for each t, without forming any other row:
         one O(G n^2) product on the spectral route; on the uniformized
         route row-vector products with Poisson weights, and one whole
-        deviation per grid gap longer than _UNIFORM_TERMS over the largest
-        exit rate.
+        deviation per grid gap longer than _UNIFORM_TERMS over the chain's
+        uniformization rate.
 
         This is where the row path's input is checked, for decay_curve and
         h_function alike: ``ErgorateError`` unless ``i`` is an integer
@@ -199,8 +201,8 @@ class Propagator:
         """
         i, times = state_index(i, self.spec.n), self._checked(times)
         if self.method == "spectral":
-            lam, psi, phi = self._analysis.expansion
-            return (psi[i] * np.exp(-np.outer(times, lam))) @ phi
+            lam, W, d = self._analysis.expansion
+            return ((W[i] * np.exp(-np.outer(times, lam))) @ W.T) * (d / d[i])
         return _uniformized_rows(self._analysis, i, times)
 
 
@@ -224,16 +226,17 @@ def _poisson_weights(mu: NDArray[np.float64]) -> NDArray[np.float64]:
 def _deviation(a: ChainAnalysis, t: float) -> NDArray[np.float64]:
     """exp(tQ) - 1 pi for the chain of analysis ``a``, t >= 0.
 
-    With (Lam, Pt = P - 1 pi, I - 1 pi) the chain's memoized uniformized
-    pieces (spectral._uniformize), take s = 0 if Lam t <= 1, else
+    With (Lam, Pt = P - 1 pi) the chain's memoized uniformized pair
+    (ChainAnalysis._uniformized), take s = 0 if Lam t <= 1, else
     ceil(log2(Lam t)), and tau = t / 2^s.  Then
     D(tau) = sum_k Pois(k; Lam tau) (I - 1 pi) Pt^k: each term is the
-    last one times Pt, starting from I - 1 pi.  Squaring s times gives
-    D(t), because D(2 tau) = D(tau)^2 (1 pi commutes with P_t, and
-    (1 pi)^2 = 1 pi).  No step subtracts the limit from an O(1) matrix,
+    last one times Pt, starting from I - 1 pi, which is formed per call.
+    Squaring s times gives D(t), because D(2 tau) = D(tau)^2 (1 pi
+    commutes with P_t, and (1 pi)^2 = 1 pi).  No step subtracts the limit from an O(1) matrix,
     so the error stays small relative to D(t) as it decays.
     """
-    lam, tilde, term = a._uniformized
+    lam, tilde = a._uniformized
+    term = np.eye(tilde.shape[0]) - a.stationary.p
     s = int(np.ceil(np.log2(lam * t))) if lam * t > 1.0 else 0
     weights = _poisson_weights(np.array([lam * t / 2.0**s]))[:, 0]
     dev = weights[0] * term
@@ -245,24 +248,22 @@ def _deviation(a: ChainAnalysis, t: float) -> NDArray[np.float64]:
     return dev
 
 
-def _uniformized_rows(
-    a: ChainAnalysis, i: int, times: NDArray[np.float64], rate: float = 0.0
-) -> NDArray[np.float64]:
+def _uniformized_rows(a: ChainAnalysis, i: int, times: NDArray[np.float64]) -> NDArray[np.float64]:
     """Deviations e_i exp(tQ) - pi for increasing nonnegative ``times``,
     shape (G, n), of the chain of analysis ``a``.
 
-    Uniformization at rate Lam, the larger of ``rate`` and the largest
-    exit rate: with Pt = P - 1 pi from spectral._uniformize (memoized on
-    ``a`` at the default rate), e_i exp(tQ) - pi =
-    sum_k Pois(k; Lam t) (e_i - pi) Pt^k.  The deviation itself is
-    carried, and each step deflates the stationary mode, so no step
-    subtracts pi from an O(1) row.  The row is carried along the grid from
-    the last time reached: all grid times within _UNIFORM_TERMS / Lam of
-    it come from one sequence v, vPt, ..., vPt^K and one (G x K) @ (K x n)
-    product; a longer gap is taken as v _deviation(gap).
+    Uniformization at the rate Lam that the analysis sets, with
+    Pt = P - 1 pi, both read from the memo ChainAnalysis._uniformized:
+    e_i exp(tQ) - pi = sum_k Pois(k; Lam t) (e_i - pi) Pt^k.  The
+    deviation itself is carried, and each step deflates the stationary
+    mode, so no step subtracts pi from an O(1) row.  The row is carried
+    along the grid from the last time reached: all grid times within
+    _UNIFORM_TERMS / Lam of it come from one sequence v, vPt, ..., vPt^K
+    and one (G x K) @ (K x n) product; a longer gap is taken as
+    v _deviation(gap).
     """
     pi = a.stationary.p
-    lam, tilde = a._uniformized[:2] if rate == 0.0 else _uniformize(a.rate_matrix.q, pi, rate)
+    lam, tilde = a._uniformized
     n = pi.size
     span = _UNIFORM_TERMS / lam
     rows = np.empty((times.size, n))
@@ -314,29 +315,31 @@ def decay_curve(spec: ChainSpec, i: int, grid: NDArray[np.float64]) -> DecayCurv
     """Weighted-norm distance of P_t(i, .) to stationarity over a grid,
     with the theoretical exponential envelope alongside.
 
-    Only row i of P_t is computed.  On a reversible chain whose grid ends
-    at t_max with Lam' t_max <= min(n, _UNIFORM_TERMS), the row's
-    deviation is swept by uniformization at rate Lam' = max(Lam, lam_max)
-    (_uniformized_rows), and no eigenvector is computed; every other curve
-    comes from Propagator.row_deviations.  lam_max, the top of the
-    symmetrized spectrum, is at least that matrix's largest diagonal entry
+    Only row i of P_t is computed, by one of two mechanisms.  A reversible
+    chain whose grid ends at t_max with lam_max t_max > min(n,
+    _UNIFORM_TERMS), lam_max the top of the symmetrized spectrum, reads
+    the expansion (Propagator.row_deviations).  Every other curve is
+    uniformized (_uniformized_rows) at the rate the chain's analysis sets:
+    an irreversible chain at its largest exit rate Lam, and a reversible
+    one, swept with no eigenvector computed, at Lam' = max(Lam, lam_max).
+    lam_max is at least the symmetrized matrix's largest diagonal entry
     -q_ii, so Lam' is lam_max up to the row-sum tolerance and the rule
     reads lam_max.  At Lam' every mode's multiplier 1 - lam_k / Lam' lies
     in [0, 1]: no term of the sweep cancels, and the curve keeps the
     spectral route's relative accuracy and noise floor.  The rule reads
-    only n, lam_max and the grid, so a curve does not depend on what was
-    computed before it.  ``method`` names the route that made the rows.
+    only the verdict, n, lam_max and the grid, never what the analysis
+    has memoized, so a curve does not depend on what was computed before
+    it.  ``method`` names the route that made the rows.
     The state and the grid are checked as row_deviations checks them.
     The envelope rate is the gap from the chain's memoized analysis.
     """
     prop = Propagator(spec)
     i, grid = state_index(i, spec.n), prop._checked(grid)
     a = chain_analysis(spec)
-    top = -a.spectrum[-1].real if a.reversible else None
-    if top is not None and top * grid[-1] <= min(spec.n, _UNIFORM_TERMS):
-        method, rows = "uniformized", _uniformized_rows(a, i, grid, top)
+    if a.reversible and a._rates[-1] * grid[-1] > min(spec.n, _UNIFORM_TERMS):
+        method, rows = "spectral", prop.row_deviations(i, grid)
     else:
-        method, rows = prop.method, prop.row_deviations(i, grid)
+        method, rows = "uniformized", _uniformized_rows(a, i, grid)
     C = ergodicity_constant(spec.stationary, spec.weight)[i]
     return DecayCurve(
         state=i,

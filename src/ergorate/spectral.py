@@ -25,8 +25,11 @@ real spectrum is an exact 0 then minus lam[1:], and the one eigh, the
 expansion of the n - 1 decaying modes, is taken only when a reader needs
 eigenvectors (whole matrices, h-functions, decay curves on grids too
 long to sweep).  Irreversible: one general eigvals of Q for the
-spectrum.  The analysis also keeps the uniformized chain and the dual
-that the uniformized route reads, so they are built once per chain.
+spectrum.  The expansion is one orthonormal factor W, the semigroup
+read in L2(pi): P_t - pi = D^-1 W exp(-t lam) W^T D with D = diag(sqrt(pi)).
+The analysis also keeps the uniformized chain, at the one rate it sets,
+and the dual that the uniformized route reads, so each is built once per
+chain.
 """
 
 from __future__ import annotations
@@ -98,21 +101,6 @@ def _zero_tol(Q: RateMatrix) -> float:
     return EIG_TOL * max(Q.max_rate, 1e-300)
 
 
-def _uniformize(
-    q: NDArray[np.float64], pi: NDArray[np.float64], rate: float = 0.0
-) -> tuple[float, NDArray[np.float64]]:
-    """(Lam, P - 1 pi): Lam the larger of ``rate`` and the largest exit
-    rate, and P = I + Q / Lam, entrywise nonnegative and row-stochastic,
-    its diagonal rebuilt from the off-diagonal rates.  Subtracting 1 pi
-    deflates the stationary mode: a row v with v . 1 = 0 steps to vP."""
-    off = q - np.diag(np.diag(q))
-    exits = off.sum(axis=1)
-    rate = max(rate, float(exits.max()))
-    P = off / rate
-    np.fill_diagonal(P, 1.0 - exits / rate)
-    return rate, P - pi
-
-
 def symmetric_eigendecomposition(
     Q: RateMatrix, pi: Distribution, vectors: bool = True
 ) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64]]:
@@ -182,17 +170,24 @@ class ChainAnalysis:
     - ``true_decay_rate``: minus the largest real part over the nonzero
       spectrum; equal to ``gap`` exactly on a reversible chain.
     - ``expansion``: the n - 1 decaying modes of the one eigh
-      (symmetric_eigendecomposition), (lam[1:], W / d, (W d)^T) with W
-      the columns V[:, 1:] projected orthogonal to d = sqrt(pi), so
-      P_t - pi = (W / d) diag(exp(-t lam[1:])) (W d)^T on a reversible
-      chain.  The stationary mode is not stored.  Built only when read,
-      on a reversible chain only: on an irreversible one it would expand
-      the reversibilization, not Q.  The spectral propagator reads it, so
-      every propagator of one chain shares these two factors.
+      (symmetric_eigendecomposition), (lam[1:], W, d) with d = sqrt(pi)
+      and W the orthonormal columns V[:, 1:] projected orthogonal to d,
+      so P_t - pi = D^-1 W diag(exp(-t lam[1:])) W^T D, D = diag(d), on a
+      reversible chain.  The stationary mode is not stored.  Built only
+      when read, on a reversible chain only: on an irreversible one it
+      would expand the reversibilization, not Q.  The spectral propagator
+      reads it, so every propagator of one chain shares this one factor.
 
-    The uniformized route reads two private memos: ``_uniformized``, the
-    chain's (Lam, P - 1 pi, I - 1 pi) from _uniformize, and ``_dual``,
-    the analysis of the validated time-reversal dual (mu_ft_norm).
+    The uniformized route reads two private memos.  ``_uniformized`` is
+    (Lam', P - 1 pi) with P = I + Q / Lam', entrywise nonnegative and
+    row-stochastic, its diagonal rebuilt from the off-diagonal rates; 1 pi
+    is subtracted so that a row v with v . 1 = 0 steps to vP with the
+    stationary mode deflated.  The analysis alone sets the rate Lam': the
+    largest exit rate Lam on an irreversible chain, and max(Lam, lam_max)
+    on a reversible one, lam_max the top of the values-only spectrum, so
+    that every mode's multiplier 1 - lam_k / Lam' lies in [0, 1].
+    ``_dual`` is the analysis of the validated time-reversal dual
+    (mu_ft_norm).
 
     Obtain one through chain_analysis(spec), which memoizes it on the
     spec.  It holds the generator and stationary law, not the spec, so
@@ -227,8 +222,7 @@ class ChainAnalysis:
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
         lam, V, d = symmetric_eigendecomposition(self.rate_matrix, self.stationary)
         # eigh's V[:, 0] misses d by up to 4e-10 at n = 1000: 8.5e-9 in deviation row sums
-        W = V[:, 1:] - np.outer(d, d @ V[:, 1:])
-        return lam[1:], W / d[:, None], (W * d[:, None]).T
+        return lam[1:], V[:, 1:] - np.outer(d, d @ V[:, 1:]), d
 
     @cached_property
     def gap(self) -> float:
@@ -255,9 +249,16 @@ class ChainAnalysis:
         return float(-max(z.real for z in self.spectrum if abs(z) > tol))
 
     @cached_property
-    def _uniformized(self) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
-        pi = self.stationary.p
-        return (*_uniformize(self.rate_matrix.q, pi), np.eye(self.rate_matrix.n) - pi)
+    def _uniformized(self) -> tuple[float, NDArray[np.float64]]:
+        q = self.rate_matrix.q
+        off = q - np.diag(np.diag(q))
+        exits = off.sum(axis=1)
+        rate = float(exits.max())
+        if self.reversible:
+            rate = max(rate, float(self._rates[-1]))
+        P = off / rate
+        np.fill_diagonal(P, 1.0 - exits / rate)
+        return rate, P - self.stationary.p
 
     @cached_property
     def _dual(self) -> ChainAnalysis:

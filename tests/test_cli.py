@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,8 +53,10 @@ def write_chain(tmp_path, name, obj):
         # for its gap (the lemma chain's gap is not read), one eigh per
         # reversible chain for its matrices (three battery chains, one lemma
         # chain) and example22's eigvals; the uniformized route's matrices
-        # and mu_ft_norm's dual are semigroup._deviation, no expm
-        (["verify"], {"eigh": 4, "eigvalsh": 4, "eigvals": 1, "expm": 0}),
+        # and mu_ft_norm's dual are semigroup._deviation, no expm, and each
+        # reversible chain's dual takes one eigvalsh for the top of its
+        # spectrum, which sets its uniformization rate
+        (["verify"], {"eigh": 4, "eigvalsh": 7, "eigvals": 1, "expm": 0}),
     ],
 )
 def test_decompositions_per_call(capsys, decomposition_counts, argv, expected):
@@ -594,6 +597,22 @@ def test_hfunction_closed_form_fails_when_off_by_1e9_relative(capsys, monkeypatc
         code, out, _ = run(capsys, "verify", "--only", "hfunction.closed_form", "--n", n)
         assert code == 1
         assert out.startswith("FAIL  hfunction.closed_form ")
+
+
+def test_hfunction_meanzero_fails_when_h_is_shifted_by_1e9_of_its_norm(capsys, monkeypatch):
+    # the bound scales with 1 / sqrt(pi_i), not with h: a shift at the state
+    # of largest pi still fails it, at every size up to the cap
+    def shifted(spec, i, s, _orig=cli.h_function):
+        h, direct, closed = _orig(spec, i, s)
+        values = h.values.copy()
+        values[np.argmax(spec.pi)] += 1e-9 * np.sqrt(direct)
+        return replace(h, values=values), direct, closed
+
+    monkeypatch.setattr(cli, "h_function", shifted)
+    for n in ("6", "600"):
+        code, out, _ = run(capsys, "verify", "--only", "hfunction.meanzero", "--n", n)
+        assert code == 1
+        assert out.startswith("FAIL  hfunction.meanzero ")
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ rescaling the weight (f -> cf), under which ||h_s||^2, its reversible
 closed form and the L2(nu) rate do not move by a bit and the weighted
 norms and constants scale by c.
 
-Fitted rates are left out: the default time grid is not yet scale
-invariant (ROADMAP item 3c), so a fit over it is not either.
+A fitted rate is checked on a grid scaled with the chain, 60 points up
+to 10 over the gap: the default time grid starts at 0.01 whatever the
+chain's time scale (ROADMAP item 3), so a fit over it is not invariant.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from conftest import random_detailed_balance, random_irreversible
 
 from ergorate.chain_core import chain_spec, validate, weight_function
 from ergorate.htransform import h_function, measured_l2_rate, transform
-from ergorate.semigroup import decay_curve
+from ergorate.semigroup import decay_curve, fit_rate
 from ergorate.spectral import spectral_report
 
 # largest deviations seen on these chains are about 1e-14
@@ -64,6 +65,13 @@ def test_rescaling_time_scales_every_rate(chain, log_c):
     for i in range(spec.n):
         curve, curve_c = decay_curve(spec, i, grid), decay_curve(scaled, i, grid / c)
         np.testing.assert_allclose(curve_c.fnorms, curve.fnorms, rtol=TOL, atol=TOL)
+    # a default fit window, [2, 6] / gap, holds 5 points or more of this grid
+    grid = np.geomspace(0.01, 10.0, 60) / rep.gap
+    for i in range(spec.n):
+        fit = fit_rate(decay_curve(spec, i, grid))
+        fit_c = fit_rate(decay_curve(scaled, i, grid / c))
+        assert fit_c.mode == fit.mode
+        assert fit_c.rate == pytest.approx(c * fit.rate, rel=TOL)
 
 
 @settings(max_examples=30, deadline=None)

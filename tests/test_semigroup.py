@@ -494,12 +494,14 @@ def test_mu_ft_norm_two_routes_agree(bd6):
     assert abs(direct - via_dual) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [None, 5])
-def test_mu_ft_norm_sides_agree_far_past_the_time_scale(ex22, n):
+@pytest.mark.parametrize("chain", [None, 5, "bd6", "reversible-5"])
+def test_mu_ft_norm_sides_agree_far_past_the_time_scale(ex22, bd6, chain):
     # at 25 / rho both sides are near 1e-11, each formed from a deviation
     # (of Q, and of its dual) that keeps relative accuracy; exp(tQ) - pi
-    # would leave them 1e-5 apart
-    spec = ex22 if n is None else dense_chain(False, n)
+    # would leave them 1e-5 apart.  None is example 2.2 and 5 a dense
+    # irreversible chain; on the reversible ones the dual is uniformized
+    # at the top of its spectrum
+    spec = {None: ex22, 5: dense_chain(False, 5), "bd6": bd6, "reversible-5": dense_chain(True, 5)}[chain]
     rng = np.random.default_rng(29)
     rho = chain_analysis(spec).true_decay_rate
     for _ in range(5):
@@ -973,7 +975,7 @@ def test_swept_reversible_curves_match_a_40_digit_exponential(request, chain):
     times = np.array([5.0, 13.0, 25.0]) / rho
     exact = mp_deviations(spec, times)
     for i in range(spec.n):
-        rows = semigroup._uniformized_rows(a, i, times, top)
+        rows = semigroup._uniformized_rows(a, i, times)
         curve = np.abs(rows) @ spec.f
         ref = np.array([np.abs(D[i]) @ spec.f for D in exact])
         assert np.max(np.abs(curve - ref) / ref) <= 1e-13
@@ -1016,6 +1018,43 @@ def test_a_sweepable_reversible_curve_takes_no_eigenvector(decomposition_counts,
     full = np.abs(Propagator(spec).row_deviations(1, grid)) @ spec.f
     assert decomposition_counts["eigh"] == 1
     assert np.max(np.abs(curve.fnorms - full) / full) <= 1e-12
+
+
+@pytest.mark.parametrize("chain", ["ex21", "bd6", "reversible-80", "ex22", "irreversible-5"])
+def test_the_analysis_sets_the_uniformization_rate(request, chain):
+    # a reversible chain is uniformized at max(Lam, lam_max), the top of its
+    # spectrum up to rounding (example 2.1's exceeds its largest exit rate
+    # Lam), any other chain at Lam; P - 1 pi is taken at that rate
+    if chain.startswith(("reversible", "irreversible")):
+        kind, n = chain.split("-")
+        spec = dense_chain(kind == "reversible", int(n))
+    else:
+        spec = request.getfixturevalue(chain)
+    a = chain_analysis(spec)
+    rate, tilde = a._uniformized
+    exits = float(np.max(-np.diag(spec.q)))
+    if a.reversible:
+        top = -a.spectrum[-1].real
+        assert rate >= top and rate == pytest.approx(max(exits, top), rel=1e-15)
+        if chain == "ex21":
+            assert top > exits
+    else:
+        assert rate == pytest.approx(exits, rel=1e-15)
+    expected = np.eye(spec.n) + spec.q / rate - spec.pi
+    assert np.max(np.abs(tilde - expected)) <= 1e-15
+
+
+def test_swept_curves_read_one_uniformized_matrix():
+    # the sweep reads the analysis's memo: two curves leave one P - 1 pi
+    spec = dense_chain(True, ABOVE)
+    a = chain_analysis(spec)
+    grid = default_time_grid(a.gap)
+    assert "_uniformized" not in a.__dict__
+    first = decay_curve(spec, 0, grid)
+    memo = a.__dict__["_uniformized"]
+    second = decay_curve(spec, 1, grid)
+    assert first.method == second.method == "uniformized"
+    assert a.__dict__["_uniformized"] is memo
 
 
 @pytest.mark.parametrize("reader", ["mm1-curve", "h_function", "deviation", "matrix"])

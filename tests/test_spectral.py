@@ -153,9 +153,13 @@ def test_reversible_spectrum_is_an_exact_zero_then_the_decaying_rates(bd6):
     # the eigvalsh's own lam[0] is rounding noise; the report's zero is exact
     assert ev[0] == 0j and np.copysign(1.0, ev[0].real) == 1.0
     assert np.array_equal(np.array(ev[1:]), (-lam[1:]).astype(complex))
-    # the expansion holds only the n - 1 decaying modes
-    rates, psi, phi = chain_analysis(bd6).expansion
-    assert rates.shape == (bd6.n - 1,) and psi.shape == (bd6.n, bd6.n - 1) == phi.T.shape
+    # the expansion holds only the n - 1 decaying modes: one orthonormal
+    # factor W, orthogonal to d = sqrt(pi)
+    rates, W, d = chain_analysis(bd6).expansion
+    assert rates.shape == (bd6.n - 1,) and W.shape == (bd6.n, bd6.n - 1)
+    assert np.array_equal(d, np.sqrt(bd6.pi))
+    assert np.max(np.abs(W.T @ W - np.eye(bd6.n - 1))) <= 1e-14
+    assert np.max(np.abs(d @ W)) <= 1e-15
 
 
 def test_eigenvalues_nonzero_have_negative_real_part(ex22, bd6):
