@@ -6,7 +6,9 @@ off-diagonal entries, zero row sums, strongly connected positive-rate
 digraph), its stationary distribution pi solving pi Q = 0, and a weight
 vector f >= 1 that defines the weighted total-variation norm used
 throughout the package.  This module owns the domain types, the
-invariant checks, the stationary solve, the time-reversal dual, the
+invariant checks, the stationary law (from detailed balance along the
+breadth-first tree validate keeps when the chain is reversible, from an
+LU solve otherwise), the time-reversal dual, the
 additive symmetrization, builders for the two closed-form example
 families plus birth-death chains and their registry, the Tolerances the
 checks read, and a reflecting finite truncation of countable chains,
@@ -95,6 +97,16 @@ class RateMatrix:
         """max |q_ij|, the natural scale for residual tolerances; computed
         on first read (q is read-only)."""
         return float(np.max(np.abs(self.q)))
+
+    @cached_property
+    def _tree(self) -> NDArray[np.intp]:
+        """Read-only parents of a breadth-first tree from state 0 along
+        positive rates (see _bfs_parents).  validate keeps the tree of its
+        connectivity check here, so only a RateMatrix built directly
+        traverses its digraph on first read."""
+        adj = self.q > 0.0
+        np.fill_diagonal(adj, False)
+        return _bfs_parents(adj)
 
 
 @dataclass(frozen=True)
@@ -192,8 +204,10 @@ def validate(
     Reducible
         The positive-rate digraph is not strongly connected: some state
         cannot be reached from state 0 along positive rates, or cannot
-        reach it.  Both are found by expanding a breadth-first frontier
-        from state 0 in the digraph and in its transpose.
+        reach it.  The first is found by a breadth-first search from
+        state 0, whose tree the RateMatrix keeps for stationary.  When
+        every tree edge runs both ways, every state reaches 0 back up the
+        tree; otherwise the same search runs in the transposed digraph.
     """
     q = _floats(q_raw, "rate matrix Q")
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -224,17 +238,36 @@ def validate(
             raise NonConservative(f"row {i} sums to {rowsum[i]:.3e}, exceeds tolerance")
 
     adj = off > 0.0
-    for graph, relation in ((adj, "is not reachable from"), (adj.T, "cannot reach")):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        front = seen.copy()
-        while front.any():
-            front = graph[front].any(axis=0) & ~seen
-            seen |= front
-        if not seen.all():
-            raise Reducible(f"state {int(np.argmin(seen))} {relation} state 0 along positive rates")
+    tree = _bfs_parents(adj)
+    if tree.min() < 0:
+        raise Reducible(f"state {int(np.argmin(tree))} is not reachable from state 0 along positive rates")
+    # Every state reaches 0 back up the tree when each tree edge runs both
+    # ways; only a chain with a one-way tree edge needs the reverse search.
+    if not adj[np.arange(1, n), tree[1:]].all():
+        back = _bfs_parents(adj.T)
+        if back.min() < 0:
+            raise Reducible(f"state {int(np.argmin(back))} cannot reach state 0 along positive rates")
 
-    return RateMatrix(n=n, q=_frozen(q))
+    Q = RateMatrix(n=n, q=_frozen(q))
+    vars(Q)["_tree"] = tree  # fills the cached property: each chain is traversed once
+    return Q
+
+
+def _bfs_parents(adj: NDArray[np.bool_]) -> NDArray[np.intp]:
+    """Read-only parents of a breadth-first tree from state 0 in the
+    digraph ``adj``: parent[0] = 0, and -1 for a state that state 0 does
+    not reach.  Each level's states take the first state of the level before
+    with an edge to them."""
+    parent = np.full(adj.shape[0], -1, dtype=np.intp)
+    parent[0] = 0
+    front = np.zeros(1, dtype=np.intp)
+    while front.size:
+        reach = adj[front]
+        kids = np.flatnonzero(reach.any(axis=0) & (parent < 0))
+        parent[kids] = front[reach[:, kids].argmax(axis=0)]
+        front = kids
+    parent.setflags(write=False)
+    return parent
 
 
 def distribution(p_raw: Sequence[float] | NDArray) -> Distribution:
@@ -269,23 +302,78 @@ def weight_function(f_raw: Sequence[float] | NDArray) -> WeightFunction:
 def stationary_residual(Q: RateMatrix, p: NDArray[np.float64], tol: Tolerances) -> tuple[float, float]:
     """(max_j |(p Q)_j|, tol.stat_tol * max|q_ij|): p passes as a
     stationary law of Q when the residual is at most the bound."""
-    return float(np.max(np.abs(p @ Q.q))), tol.stat_tol * Q.max_rate
+    return float(abs(p @ Q.q).max()), tol.stat_tol * Q.max_rate
+
+
+def _balanced(flux: NDArray[np.float64], back: NDArray[np.float64], rev_tol: float) -> bool:
+    """(1 - rev_tol) a <= b for every pair (a, b) of (flux, back).  For
+    nonnegative a and b, |a - b| <= rev_tol * max(a, b) iff this holds in
+    both orders, so a caller that passes both orders of every pair has
+    the per-edge detailed-balance test at one product per entry."""
+    return bool(((1.0 - rev_tol) * flux <= back).all())
+
+
+def _balanced_law(Q: RateMatrix, tol: Tolerances) -> NDArray[np.float64] | None:
+    """The detailed-balance law of Q, or None where it is not Q's law.
+
+    Along each edge of Q._tree, pi_c / pi_p = q_pc / q_cp; the log-ratios
+    are summed from the root by pointer doubling (log2 of the depth
+    steps) and normalized with the maximum subtracted, so no product of
+    ratios over- or underflows before the last exp.  The law is returned
+    only if every tree edge runs both ways, no entry underflows to 0,
+    every pair of states passes |pi_i q_ij - pi_j q_ji| <= tol.rev_tol *
+    max(pi_i q_ij, pi_j q_ji), and the stationary residual passes.  One
+    order of the last state's pairs is tested first, so most
+    irreversible chains leave after O(n) work.
+    """
+    q, parent = Q.q, Q._tree
+    pars = parent[1:]
+    if pars.min() < 0:
+        return None
+    kids = np.arange(1, Q.n)
+    up = q[kids, pars]
+    if not (up > 0.0).all():
+        return None
+    lp = np.zeros(Q.n)
+    lp[1:] = np.log(q[pars, kids]) - np.log(up)
+    anc = parent
+    while anc.any():
+        lp += lp[anc]
+        anc = anc[anc]
+    p = np.exp(lp - lp.max())
+    k = Q.n - 1
+    if not (p.all() and _balanced(p[k] * q[k, :k], p[:k] * q[:k, k], tol.rev_tol)):
+        return None
+    flux = p[:, None] * q
+    np.fill_diagonal(flux, 0.0)
+    if not _balanced(flux, flux.T, tol.rev_tol):
+        return None
+    p /= p.sum()
+    residual, bound = stationary_residual(Q, p, tol)
+    return p if residual <= bound else None
 
 
 def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
-    """Solve pi Q = 0 with the mass-one normalization.
+    """The law pi with pi Q = 0 and mass one.
 
-    The transposed balance system has a one-dimensional null space for an
-    irreducible conservative generator; the last (redundant) equation is
-    replaced by the all-ones normalization row, giving a square
+    A reversible chain takes the detailed-balance law of _balanced_law,
+    whose relative error does not grow with how widely pi spans.  Every other
+    chain, and a reversible one whose law underflows, takes an LU solve:
+    the transposed balance system has a one-dimensional null space for an
+    irreducible conservative generator, so its last (redundant) equation
+    is replaced by the all-ones normalization row, giving a square
     deterministic solve.
 
     Raises
     ------
     SingularSystem
-        The replaced system is singular or the residual exceeds tol.stat_tol
-        * max|q_ij|, which signals a numerically near-reducible chain.
+        The LU solve's system is singular, its residual exceeds
+        tol.stat_tol * max|q_ij|, which signals a numerically
+        near-reducible chain, or its law has an entry <= 0.
     """
+    p = _balanced_law(Q, tol)
+    if p is not None:
+        return Distribution(p=_frozen(p))
     n = Q.n
     A = Q.q.T.copy()
     A[-1, :] = 1.0
@@ -354,7 +442,9 @@ def chain_spec(
     label: str = "",
     tol: Tolerances = Tolerances(),
 ) -> ChainSpec:
-    """Assemble a ChainSpec carrying ``tol``, solving for pi if absent.
+    """Assemble a ChainSpec carrying ``tol``, with pi from stationary(Q,
+    tol) if absent: the detailed-balance law on a reversible chain, an LU
+    solve otherwise.
 
     A caller-supplied pi is checked against the generator at tol.stat_tol
     rather than trusted.

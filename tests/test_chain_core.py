@@ -11,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from conftest import random_detailed_balance, random_irreversible
+
+from ergorate import chain_core
 from ergorate.chain_core import (
     STAT_TOL,
     ChainSpec,
+    Distribution,
     RateMatrix,
     build_birth_death,
     build_example21,
@@ -26,6 +30,7 @@ from ergorate.chain_core import (
     parse_chain_dict,
     reversibilize,
     stationary,
+    stationary_residual,
     truncate,
     validate,
     weight_function,
@@ -459,17 +464,149 @@ def test_input_checks_name_the_fault(build, error, message):
         build()
 
 
-def test_stationary_rejects_a_non_positive_law():
-    # LU on the 40-state birth-death chain whose death rates span 1e2
-    # returns a law with non-positive entries
-    n = 40
+def birth_death_q(birth, death) -> np.ndarray:
+    n = len(birth) + 1
     q = np.zeros((n, n))
     idx = np.arange(n - 1)
-    q[idx, idx + 1] = 1.0
-    q[idx + 1, idx] = np.geomspace(1.0, 1e2, n - 1)
+    q[idx, idx + 1] = birth
+    q[idx + 1, idx] = death
     np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def lu_law(Q: RateMatrix) -> np.ndarray:
+    """The LU solve a chain that is not reversible falls back to: pi Q = 0
+    with the last equation replaced by the mass row, then normalized."""
+    A = Q.q.T.copy()
+    A[-1, :] = 1.0
+    b = np.zeros(Q.n)
+    b[-1] = 1.0
+    p = np.linalg.solve(A, b)
+    return p / p.sum()
+
+
+def recursion_law(birth, death) -> np.ndarray:
+    """The birth-death law from the log-space recursion log pi_(i+1) =
+    log pi_i + log(birth_i / death_i)."""
+    lp = np.concatenate([[0.0], np.cumsum(np.log(np.asarray(birth) / np.asarray(death)))])
+    p = np.exp(lp - lp.max())
+    return p / p.sum()
+
+
+# the 40-state birth-death chain whose death rates span 1e2: pi spans
+# 2e-40, and LU returns a law with non-positive entries
+WIDE_BIRTH, WIDE_DEATH = np.ones(39), np.geomspace(1.0, 1e2, 39)
+
+
+def test_stationary_is_exact_on_a_law_lu_loses():
+    p = stationary(validate(birth_death_q(WIDE_BIRTH, WIDE_DEATH))).p
+    expected = recursion_law(WIDE_BIRTH, WIDE_DEATH)
+    assert expected.min() < 1e-39
+    np.testing.assert_allclose(p, expected, rtol=1e-13, atol=0.0)
+
+
+def test_stationary_rejects_a_non_positive_law():
+    # a one-way edge to state 0 makes the chain irreversible.  The tree
+    # law, the recursion's, passes the matrix-wide is_reversible test and
+    # the residual, since pi of the edge's source is tiny, but not the
+    # per-edge test (the last state's pairs are tested alone first, the
+    # others only by the whole test), so the chain falls back to LU, which
+    # fails as it does on the reversible chain
+    tree_law = recursion_law(WIDE_BIRTH, WIDE_DEATH)
+    for source in (39, 38):
+        q = birth_death_q(WIDE_BIRTH, WIDE_DEATH)
+        q[source, 0], q[source, source] = 1.0, q[source, source] - 1.0
+        Q = validate(q)
+        assert is_reversible(Q, Distribution(tree_law))[0]
+        residual, bound = stationary_residual(Q, tree_law, chain_core.Tolerances())
+        assert residual <= bound
+        with pytest.raises(SingularSystem, match="^stationary solve produced non-positive entries$"):
+            stationary(Q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    spread=st.floats(min_value=0.0, max_value=6.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_stationary_matches_a_40_digit_law_on_permuted_birth_death_chains(n, spread, seed):
+    """Rates e^U(-spread, spread), states relabelled at random, against the
+    recursion at 40 digits.  The oracle is checked to solve pi Q = 0 with
+    Q's diagonal rebuilt in mpmath from the float off-diagonals."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    birth, death = np.exp(rng.uniform(-spread, spread, (2, n - 1)))
+    perm = rng.permutation(n)
+    q = birth_death_q(birth, death)[np.ix_(perm, perm)]
+    with mp.workdps(40):
+        law = [mp.mpf(1)]
+        for b, d in zip(birth, death):
+            law.append(law[-1] * mp.mpf(b) / mp.mpf(d))
+        total = mp.fsum(law)
+        law = [law[k] / total for k in perm]
+        for j in range(n):
+            off = [mp.mpf(q[j, k]) for k in range(n) if k != j]
+            flux = [law[i] * mp.mpf(q[i, j]) for i in range(n) if i != j]
+            out = law[j] * mp.fsum(off)
+            assert abs(mp.fsum(flux) - out) <= mp.mpf(1e-35) * out
+        expected = np.array([float(x) for x in law])
+    assert expected.min() > 1e-290  # the doubles hold it with full precision
+    np.testing.assert_allclose(stationary(validate(q)).p, expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 200])
+def test_stationary_of_a_dense_reversible_chain_agrees_with_lu(n):
+    Q = validate(random_detailed_balance(np.random.default_rng(n), n))
+    np.testing.assert_allclose(stationary(Q).p, lu_law(Q), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("chain", ["example22", "irreversible-3", "irreversible-12", "irreversible-50", "irreversible-200"])
+def test_a_chain_that_is_not_reversible_keeps_the_lu_law_bit_for_bit(chain):
+    if chain == "example22":
+        Q = validate(CYCLE_Q)
+    else:
+        n = int(chain.split("-")[1])
+        Q = validate(random_irreversible(np.random.default_rng(n), n))
+    assert np.array_equal(stationary(Q).p, lu_law(Q))
+
+
+def test_the_residual_refuses_a_tree_law_a_loose_rev_tol_lets_through():
+    # rev_tol >= 1 passes every pair, so only the residual tells the tree
+    # law of an irreversible chain from its law
+    Q = validate(random_irreversible(np.random.default_rng(5), 5))
+    assert np.array_equal(stationary(Q, chain_core.Tolerances(rev_tol=2.0)).p, lu_law(Q))
+
+
+def test_a_reversible_law_that_underflows_has_no_zero_entry():
+    # deaths 1e9 put pi_39 near 1e-351, below the doubles: the tree law has
+    # zeros, so the chain falls back to LU, whose law is positive (if wrong)
+    Q = validate(birth_death_q(np.ones(39), np.full(39, 1e9)))
+    p = stationary(Q).p
+    assert np.all(p > 0.0)
+    assert np.array_equal(p, lu_law(Q))
+    # or LU refuses it.  At rates 1e-12 and 1e-3 the flux into the first
+    # state whose law underflows underflows too, so every pair passes the
+    # per-edge test and only the zero check refuses the tree law
     with pytest.raises(SingularSystem, match="^stationary solve produced non-positive entries$"):
-        stationary(validate(q))
+        stationary(validate(birth_death_q(np.full(39, 1e-12), np.full(39, 1e-3))))
+
+
+def test_validate_keeps_the_tree_a_rate_matrix_finds_on_first_read(monkeypatch):
+    q = birth_death_q([1.0, 2.0, 0.5, 1.5], [1.0, 1.0, 2.0, 0.5])[np.ix_([3, 0, 4, 1, 2], [3, 0, 4, 1, 2])]
+    direct = RateMatrix(n=5, q=validate(q).q)
+    parent = direct._tree
+    Q = validate(q)
+    monkeypatch.setattr(chain_core, "_bfs_parents", None)
+    # validate's own traversal, not another
+    assert np.array_equal(Q._tree, parent)
+    assert not parent.flags.writeable
+    assert parent[0] == 0 and np.all(q[parent[1:], np.arange(1, 5)] > 0.0)
+    # every state reaches the root by at most n - 1 parent steps
+    anc = parent.copy()
+    for _ in range(4):
+        anc = anc[anc]
+    assert not anc.any()
 
 
 # --------------------------------------------------------------- truncation

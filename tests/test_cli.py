@@ -110,6 +110,25 @@ def test_rate_exceeds_gap_keeps_its_verdict_under_scaling(capsys, tmp_path, chai
     assert blob["rate_exceeds_gap"] is exceeds
 
 
+def test_bd40_given_as_a_matrix_reads_the_family_numbers(capsys, tmp_path):
+    # unit births and deaths 43.7: pi spans 1e-64, which an LU solve loses
+    # (it read gap 0.27245); the detailed-balance law keeps it
+    birth, death = np.ones(39), np.full(39, 43.7)
+    family = chain_core.build_birth_death(birth, death)
+    path = write_chain(tmp_path, "bd40.json", {"label": "bd40", "Q": family.q.tolist(), "f": [1.0] * 40})
+    code, out, _ = run(capsys, "gap", "--input", path)
+    assert code == 0
+    gap = json.loads(out)["gap"]
+    assert gap == pytest.approx(ergorate.spectral_report(family).gap, rel=1e-10)
+    assert gap == pytest.approx(31.51956, rel=1e-6)
+    code, out, _ = run(capsys, "analyze", "--input", path)
+    assert code == 0
+    lp = np.concatenate([[0.0], np.cumsum(np.log(birth / death))])
+    law = np.exp(lp - lp.max())
+    law /= law.sum()
+    assert min(json.loads(out)["stationary"]) == pytest.approx(law.min(), rel=1e-12)
+
+
 def test_analyze_constants_stay_finite_for_a_huge_weight(capsys):
     # f = 1e200 squares past the double range; the constants must not print Infinity
     with warnings.catch_warnings():

@@ -2,7 +2,8 @@
 irreversible chains: rescaling time (Q -> cQ), relabelling states, and
 rescaling the weight (f -> cf), under which ||h_s||^2, its reversible
 closed form and the L2(nu) rate do not move by a bit and the weighted
-norms and constants scale by c.
+norms and constants scale by c.  A reversible chain whose stationary
+law spans 1e-60 keeps it, to 1e-13 relative, under the first two.
 
 A fitted rate is checked on a grid scaled with the chain, 60 points up
 to 10 over the gap: the default time grid starts at 0.01 whatever the
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import random_detailed_balance, random_irreversible
 
-from ergorate.chain_core import chain_spec, validate, weight_function
+from ergorate.chain_core import chain_spec, stationary, validate, weight_function
 from ergorate.htransform import h_function, measured_l2_rate, transform
 from ergorate.semigroup import decay_curve, fit_rate
 from ergorate.spectral import spectral_report
@@ -114,3 +115,35 @@ def test_rescaling_the_weight_scales_every_weighted_number(chain, c):
         np.testing.assert_allclose(
             decay_curve(scaled, i, grid).fnorms, c * decay_curve(spec, i, grid).fnorms, rtol=1e-14, atol=0.0
         )
+
+
+def metropolis(rng: np.random.Generator, n: int):
+    """Dense reversible chain q_ij = w_ij min(1, pi_j / pi_i), w symmetric,
+    whose law pi spans 1e-60 while no rate exceeds 1."""
+    p = 10.0 ** rng.uniform(-60.0, 0.0, n)
+    p[rng.permutation(n)[:2]] = 1e-60, 1.0
+    w = rng.uniform(0.2, 1.0, (n, n))
+    q = (w + w.T) / 2.0 * np.minimum(1.0, p[None, :] / p[:, None])
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q, p / p.sum()
+
+
+def validate_law(q) -> np.ndarray:
+    return stationary(validate(q)).p
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=25),
+    log_c=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_a_law_spanning_1e_minus_60_is_permuted_and_not_rescaled(seed, n, log_c):
+    rng = np.random.default_rng(seed)
+    q, law = metropolis(rng, n)
+    perm = rng.permutation(n)
+    pi = validate_law(q)
+    np.testing.assert_allclose(pi, law, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(validate_law(q[np.ix_(perm, perm)]), pi[perm], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(validate_law(10.0**log_c * q), pi, rtol=1e-13, atol=0.0)
