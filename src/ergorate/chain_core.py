@@ -8,7 +8,8 @@ vector f >= 1 that defines the weighted total-variation norm used
 throughout the package.  This module owns the domain types, the
 invariant checks, the stationary law (from detailed balance along the
 breadth-first tree validate keeps when the chain is reversible, from an
-LU solve otherwise), the time-reversal dual, the
+LU solve otherwise), the one detailed-balance test, is_reversible, whose
+outcome the detailed-balance law keeps, the time-reversal dual, the
 additive symmetrization, builders for the two closed-form example
 families plus birth-death chains and their registry, the Tolerances the
 checks read, and a reflecting finite truncation of countable chains,
@@ -42,7 +43,7 @@ from .errors import (
 # Read-only Tolerances defaults (double precision, up to a few thousand states).
 ROW_TOL = 1e-10    # row-sum residual, relative to max |q_ij|
 STAT_TOL = 1e-10   # stationarity residual ||pi Q||_inf, relative to max |q_ij|
-REV_TOL = 1e-9     # detailed-balance violation, relative to max_i!=j pi_i q_ij
+REV_TOL = 1e-9     # per-edge detailed-balance defect, relative to the pair's larger flux
 SUM_TOL = 1e-10    # probability-vector mass defect |sum p - 1|
 
 
@@ -111,9 +112,17 @@ class RateMatrix:
 
 @dataclass(frozen=True)
 class Distribution:
-    """A strictly positive probability vector."""
+    """A strictly positive probability vector.
+
+    A law made by stationary from detailed balance keeps, in a private
+    slot, (Q, tol, is_reversible(Q, law, tol)): the test it passed, tied
+    to the generator and tolerances it was run at; any other law keeps
+    (None, None, None).  The slot takes no part in construction, repr or
+    equality.
+    """
 
     p: NDArray[np.float64]
+    _balance: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -305,26 +314,26 @@ def stationary_residual(Q: RateMatrix, p: NDArray[np.float64], tol: Tolerances) 
     return float(abs(p @ Q.q).max()), tol.stat_tol * Q.max_rate
 
 
-def _balanced(flux: NDArray[np.float64], back: NDArray[np.float64], rev_tol: float) -> bool:
-    """(1 - rev_tol) a <= b for every pair (a, b) of (flux, back).  For
-    nonnegative a and b, |a - b| <= rev_tol * max(a, b) iff this holds in
-    both orders, so a caller that passes both orders of every pair has
-    the per-edge detailed-balance test at one product per entry."""
-    return bool(((1.0 - rev_tol) * flux <= back).all())
-
-
-def _balanced_law(Q: RateMatrix, tol: Tolerances) -> NDArray[np.float64] | None:
+def _balanced_law(Q: RateMatrix, tol: Tolerances) -> Distribution | None:
     """The detailed-balance law of Q, or None where it is not Q's law.
 
     Along each edge of Q._tree, pi_c / pi_p = q_pc / q_cp; the log-ratios
     are summed from the root by pointer doubling (log2 of the depth
     steps) and normalized with the maximum subtracted, so no product of
     ratios over- or underflows before the last exp.  The law is returned
-    only if every tree edge runs both ways, no entry underflows to 0,
-    every pair of states passes |pi_i q_ij - pi_j q_ji| <= tol.rev_tol *
-    max(pi_i q_ij, pi_j q_ji), and the stationary residual passes.  One
-    order of the last state's pairs is tested first, so most
-    irreversible chains leave after O(n) work.
+    only if every tree edge runs both ways, no entry underflows to 0, the
+    stationary residual passes and is_reversible passes it, and it keeps that outcome
+    (Distribution._balance).  The residual comes first, so most
+    irreversible chains leave after one matrix-vector product.
+
+    Raises
+    ------
+    SingularSystem
+        Some entry of the law underflows to 0, yet Q is reversible: the
+        rates sqrt(pi_i / pi_j) q_ij, formed from the log law, pass
+        is_reversible against the uniform law.  Their pair (i, j) is pi_i
+        q_ij and pi_j q_ji, both divided by sqrt(pi_i pi_j), so the test
+        is Q's, and they stay in range where pi does not.
     """
     q, parent = Q.q, Q._tree
     pars = parent[1:]
@@ -341,16 +350,21 @@ def _balanced_law(Q: RateMatrix, tol: Tolerances) -> NDArray[np.float64] | None:
         lp += lp[anc]
         anc = anc[anc]
     p = np.exp(lp - lp.max())
-    k = Q.n - 1
-    if not (p.all() and _balanced(p[k] * q[k, :k], p[:k] * q[:k, k], tol.rev_tol)):
+    total = p.sum()
+    p /= total
+    if not p.all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.where(q > 0.0, q * np.exp(0.5 * (lp[:, None] - lp[None, :])), 0.0)
+        if is_reversible(RateMatrix(n=Q.n, q=s), Distribution(p=np.full(Q.n, 1.0 / Q.n)), tol)[0]:
+            low = (lp.min() - lp.max() - np.log(total)) / np.log(10.0)
+            raise SingularSystem(f"the detailed-balance law underflows: smallest log10 pi is {low:.1f}")
         return None
-    flux = p[:, None] * q
-    np.fill_diagonal(flux, 0.0)
-    if not _balanced(flux, flux.T, tol.rev_tol):
-        return None
-    p /= p.sum()
     residual, bound = stationary_residual(Q, p, tol)
-    return p if residual <= bound else None
+    if residual > bound:
+        return None
+    law = Distribution(p=_frozen(p))
+    object.__setattr__(law, "_balance", (Q, tol, is_reversible(Q, law, tol)))
+    return law if law._balance[2][0] else None
 
 
 def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
@@ -358,7 +372,7 @@ def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
 
     A reversible chain takes the detailed-balance law of _balanced_law,
     whose relative error does not grow with how widely pi spans.  Every other
-    chain, and a reversible one whose law underflows, takes an LU solve:
+    chain takes an LU solve:
     the transposed balance system has a one-dimensional null space for an
     irreducible conservative generator, so its last (redundant) equation
     is replaced by the all-ones normalization row, giving a square
@@ -367,13 +381,14 @@ def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
     Raises
     ------
     SingularSystem
-        The LU solve's system is singular, its residual exceeds
+        The chain is reversible but its law underflows the doubles, the
+        LU solve's system is singular, its residual exceeds
         tol.stat_tol * max|q_ij|, which signals a numerically
         near-reducible chain, or its law has an entry <= 0.
     """
-    p = _balanced_law(Q, tol)
-    if p is not None:
-        return Distribution(p=_frozen(p))
+    law = _balanced_law(Q, tol)
+    if law is not None:
+        return law
     n = Q.n
     A = Q.q.T.copy()
     A[-1, :] = 1.0
@@ -393,21 +408,25 @@ def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
 
 
 def is_reversible(Q: RateMatrix, pi: Distribution, tol: Tolerances = Tolerances()) -> tuple[bool, float]:
-    """Detailed-balance test pi_i q_ij = pi_j q_ji.
+    """The detailed-balance test, per edge: every pair of states passes
+    |pi_i q_ij - pi_j q_ji| <= tol.rev_tol * max(pi_i q_ij, pi_j q_ji).
 
     Returns
     -------
-    (verdict, max_violation)
-        verdict is True iff the largest violation max_{i != j}
-        |pi_i q_ij - pi_j q_ji| is at most tol.rev_tol times the largest
-        off-diagonal flux pi_i q_ij; the raw violation is returned for
-        reporting either way.
+    (verdict, violation)
+        violation is the largest relative defect |a - b| / max(a, b) over
+        the pairs' two fluxes a and b: 0 under exact balance, 1 for a
+        one-way edge, none for a pair with no rate either way.  verdict is
+        violation <= tol.rev_tol.  Neither changes under Q -> cQ or a
+        relabelling of the states, up to rounding.
     """
     flux = pi.p[:, None] * Q.q
-    np.fill_diagonal(flux, 0.0)
-    violation = float(np.max(np.abs(flux - flux.T)))
-    scale = float(np.max(flux))
-    return violation <= tol.rev_tol * scale, violation
+    # 1 - |a - b| / max(a, b) = min(a, b) / max(a, b) is the least of b / a
+    # over both orders; fmin skips a rateless pair's NaN, and the diagonal's
+    # ratio is 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        violation = 1.0 - float(np.fmin.reduce(flux.T / flux, axis=None))
+    return violation <= tol.rev_tol, violation
 
 
 def _reversed_rates(Q: RateMatrix, pi: Distribution) -> NDArray[np.float64]:

@@ -19,6 +19,8 @@ functions gap, eigenvalues and true_decay_rate read a fresh
 ChainAnalysis(Q, pi, tol), so they equal the report's fields exactly.
 Per chain, the analysis is memoized on the ChainSpec (chain_analysis);
 spectral_report, the propagator, decay curves and the CLI read it.
+The verdict is chain_core.is_reversible's, kept by the law when
+stationary made it from detailed balance, so no flux is formed here.
 Every chain takes one values-only eigvalsh of the symmetrized generator,
 and the gap is its lam[1].  Reversible (at the spec's rev_tol): the
 real spectrum is an exact 0 then minus lam[1:], and the one eigh, the
@@ -29,7 +31,7 @@ spectrum.  The expansion is one orthonormal factor W, the semigroup
 read in L2(pi): P_t - pi = D^-1 W exp(-t lam) W^T D with D = diag(sqrt(pi)).
 The analysis also keeps the uniformized chain, at the one rate it sets,
 and the dual that the uniformized route reads, so each is built once per
-chain.
+chain; the dual takes its chain's verdict and symmetrized rates.
 """
 
 from __future__ import annotations
@@ -158,8 +160,11 @@ class ChainAnalysis:
     only when first read.  Every spectral number in ergorate is read from
     one of these.
 
-    - ``reversible``/``violation``: the detailed-balance test at
-      ``tol.rev_tol``, the spec's own.
+    - ``reversible``/``violation``: is_reversible(Q, pi, tol), at the
+      spec's own ``tol``.  A law that stationary made from detailed
+      balance for this very Q and tol kept that outcome, and it is read
+      from there; any other law (LU's, a supplied one, one paired with
+      another generator or tolerances) is tested here, once.
     - ``gap``: lam[1] of the pi-symmetrized generator, from one
       values-only eigvalsh (symmetric_eigendecomposition with
       ``vectors=False``), on either verdict: no eigenvector enters it.
@@ -187,7 +192,10 @@ class ChainAnalysis:
     on a reversible one, lam_max the top of the values-only spectrum, so
     that every mode's multiplier 1 - lam_k / Lam' lies in [0, 1].
     ``_dual`` is the analysis of the validated time-reversal dual
-    (mu_ft_norm).
+    (mu_ft_norm).  In exact arithmetic the dual's fluxes are the transpose
+    of Q's and its symmetrized generator is Q's, so it takes this
+    chain's verdict and, on a reversible chain, where its uniformization
+    rate reads them, its rates: no second test and no second eigvalsh.
 
     Obtain one through chain_analysis(spec), which memoizes it on the
     spec.  It holds the generator and stationary law, not the spec, so
@@ -201,6 +209,9 @@ class ChainAnalysis:
 
     @cached_property
     def _verdict(self) -> tuple[bool, float]:
+        Q, tol, outcome = self.stationary._balance
+        if Q is self.rate_matrix and tol == self.tol:
+            return outcome
         return is_reversible(self.rate_matrix, self.stationary, self.tol)
 
     @property
@@ -262,7 +273,11 @@ class ChainAnalysis:
 
     @cached_property
     def _dual(self) -> ChainAnalysis:
-        return ChainAnalysis(dual(self.rate_matrix, self.stationary), self.stationary, self.tol)
+        a = ChainAnalysis(dual(self.rate_matrix, self.stationary), self.stationary, self.tol)
+        a._verdict = self._verdict
+        if self.reversible:
+            a._rates = self._rates
+        return a
 
 
 def chain_analysis(spec: ChainSpec) -> ChainAnalysis:

@@ -247,8 +247,9 @@ def test_is_reversible_symmetric_uniform():
 
 def test_is_reversible_reports_violation(ex22):
     _, violation = is_reversible(ex22.rate_matrix, ex22.stationary)
-    # flux imbalance of the cycle chain: pi_0 q_01 - pi_1 q_10 = 1/4
-    assert violation == pytest.approx(0.25, abs=1e-12)
+    # the cycle chain's edges are one-way: pi_0 q_01 = 1/4 against pi_1 q_10 = 0,
+    # a relative defect of 1
+    assert violation == 1.0
 
 
 # ------------------------------------------------------------------- dual
@@ -507,17 +508,16 @@ def test_stationary_is_exact_on_a_law_lu_loses():
 
 def test_stationary_rejects_a_non_positive_law():
     # a one-way edge to state 0 makes the chain irreversible.  The tree
-    # law, the recursion's, passes the matrix-wide is_reversible test and
-    # the residual, since pi of the edge's source is tiny, but not the
-    # per-edge test (the last state's pairs are tested alone first, the
-    # others only by the whole test), so the chain falls back to LU, which
-    # fails as it does on the reversible chain
+    # law, the recursion's, passes the residual, since pi of the edge's
+    # source is tiny, but not the per-edge test of is_reversible (the edge's
+    # relative defect is 1), so the chain falls back to LU, which fails as
+    # it does on the reversible chain
     tree_law = recursion_law(WIDE_BIRTH, WIDE_DEATH)
     for source in (39, 38):
         q = birth_death_q(WIDE_BIRTH, WIDE_DEATH)
         q[source, 0], q[source, source] = 1.0, q[source, source] - 1.0
         Q = validate(q)
-        assert is_reversible(Q, Distribution(tree_law))[0]
+        assert is_reversible(Q, Distribution(tree_law)) == (False, 1.0)
         residual, bound = stationary_residual(Q, tree_law, chain_core.Tolerances())
         assert residual <= bound
         with pytest.raises(SingularSystem, match="^stationary solve produced non-positive entries$"):
@@ -580,16 +580,22 @@ def test_the_residual_refuses_a_tree_law_a_loose_rev_tol_lets_through():
 
 def test_a_reversible_law_that_underflows_has_no_zero_entry():
     # deaths 1e9 put pi_39 near 1e-351, below the doubles: the tree law has
-    # zeros, so the chain falls back to LU, whose law is positive (if wrong)
-    Q = validate(birth_death_q(np.ones(39), np.full(39, 1e9)))
-    p = stationary(Q).p
-    assert np.all(p > 0.0)
-    assert np.array_equal(p, lu_law(Q))
-    # or LU refuses it.  At rates 1e-12 and 1e-3 the flux into the first
-    # state whose law underflows underflows too, so every pair passes the
-    # per-edge test and only the zero check refuses the tree law
-    with pytest.raises(SingularSystem, match="^stationary solve produced non-positive entries$"):
-        stationary(validate(birth_death_q(np.full(39, 1e-12), np.full(39, 1e-3))))
+    # zeros, and LU's positive law is wrong (its smallest entry read 8.4e-35).
+    # At rates 1e-12 and 1e-3 the law is the same.  Both chains are reversible,
+    # so stationary says so and names how far pi reaches
+    for birth, death in ((1.0, 1e9), (1e-12, 1e-3)):
+        Q = validate(birth_death_q(np.full(39, birth), np.full(39, death)))
+        with pytest.raises(SingularSystem, match=r"^the detailed-balance law underflows: smallest log10 pi is -351\.0$"):
+            stationary(Q)
+
+
+def test_an_irreversible_chain_whose_tree_law_underflows_keeps_lu():
+    # the same chain with a one-way edge 39 -> 0: the tree law underflows but
+    # the chain is not reversible, so LU's law stands
+    q = birth_death_q(np.ones(39), np.full(39, 1e9))
+    q[39, 0], q[39, 39] = 1.0, q[39, 39] - 1.0
+    Q = validate(q)
+    assert np.array_equal(stationary(Q).p, lu_law(Q))
 
 
 def test_validate_keeps_the_tree_a_rate_matrix_finds_on_first_read(monkeypatch):

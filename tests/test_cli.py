@@ -53,10 +53,10 @@ def write_chain(tmp_path, name, obj):
         # for its gap (the lemma chain's gap is not read), one eigh per
         # reversible chain for its matrices (three battery chains, one lemma
         # chain) and example22's eigvals; the uniformized route's matrices
-        # and mu_ft_norm's dual are semigroup._deviation, no expm, and each
-        # reversible chain's dual takes one eigvalsh for the top of its
-        # spectrum, which sets its uniformization rate
-        (["verify"], {"eigh": 4, "eigvalsh": 7, "eigvals": 1, "expm": 0}),
+        # and mu_ft_norm's dual are semigroup._deviation, no expm; each
+        # reversible chain's dual reads its chain's rates for its
+        # uniformization rate
+        (["verify"], {"eigh": 4, "eigvalsh": 4, "eigvals": 1, "expm": 0}),
     ],
 )
 def test_decompositions_per_call(capsys, decomposition_counts, argv, expected):
@@ -78,7 +78,8 @@ def test_analyze_cycle_family(capsys):
     assert blob["reversible"] is False
     assert blob["rate_exceeds_gap"] is True
     assert len(blob["eigenvalues"]) == 3
-    assert blob["reversibility_violation"] == pytest.approx(0.25, abs=1e-12)
+    # the largest relative per-edge defect: edge 0 -> 1 is one-way
+    assert blob["reversibility_violation"] == 1.0
     assert set(blob["tolerances"]) == {"row_tol", "stat_tol", "rev_tol"}
 
 
@@ -127,6 +128,40 @@ def test_bd40_given_as_a_matrix_reads_the_family_numbers(capsys, tmp_path):
     law = np.exp(lp - lp.max())
     law /= law.sum()
     assert min(json.loads(out)["stationary"]) == pytest.approx(law.min(), rel=1e-12)
+
+
+def test_a_one_way_edge_out_of_a_small_state_is_not_reversible(capsys, tmp_path):
+    # the 40-state chain of deaths geomspace(1, 1e2) with a one-way edge
+    # 38 -> 0 and pi supplied as the birth-death law, which passes the
+    # stationary residual: the edge's flux is tiny next to the largest,
+    # but its own relative defect is 1
+    birth, death = np.ones(39), np.geomspace(1.0, 1e2, 39)
+    q = chain_core.build_birth_death(birth, death).q.copy()
+    q[38, 0], q[38, 38] = 1.0, q[38, 38] - 1.0
+    lp = np.concatenate([[0.0], np.cumsum(np.log(birth / death))])
+    law = np.exp(lp - lp.max())
+    path = write_chain(tmp_path, "oneway.json", {"Q": q.tolist(), "f": [1.0] * 40, "pi": (law / law.sum()).tolist()})
+    code, out, _ = run(capsys, "gap", "--input", path)
+    assert code == 0
+    assert json.loads(out)["reversible"] is False
+    code, out, _ = run(capsys, "analyze", "--input", path)
+    assert code == 0
+    assert json.loads(out)["reversibility_violation"] == 1.0
+
+
+def test_a_reversible_chain_whose_law_underflows_is_an_input_error(capsys, tmp_path):
+    # unit births and deaths 1e9 given as a matrix: pi_39 is near 1e-351
+    i = np.arange(39)
+    q = np.zeros((40, 40))
+    q[i, i + 1], q[i + 1, i] = 1.0, 1e9
+    np.fill_diagonal(q, -q.sum(axis=1))
+    path = write_chain(tmp_path, "bd1e9.json", {"Q": q.tolist(), "f": [1.0] * 40})
+    code, _, err = run(capsys, "gap", "--input", path)
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "SingularSystem",
+        "message": "the detailed-balance law underflows: smallest log10 pi is -351.0",
+    }
 
 
 def test_analyze_constants_stay_finite_for_a_huge_weight(capsys):

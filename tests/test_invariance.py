@@ -3,7 +3,10 @@ irreversible chains: rescaling time (Q -> cQ), relabelling states, and
 rescaling the weight (f -> cf), under which ||h_s||^2, its reversible
 closed form and the L2(nu) rate do not move by a bit and the weighted
 norms and constants scale by c.  A reversible chain whose stationary
-law spans 1e-60 keeps it, to 1e-13 relative, under the first two.
+law spans 1e-60 keeps it, to 1e-13 relative, under the first two.  The
+detailed-balance verdict and violation do not move under the first two
+either, and the analysis reads is_reversible's verdict however the spec
+was built.
 
 A fitted rate is checked on a grid scaled with the chain, 60 points up
 to 10 over the gap: the default time grid starts at 0.01 whatever the
@@ -19,10 +22,22 @@ from hypothesis import strategies as st
 
 from conftest import random_detailed_balance, random_irreversible
 
-from ergorate.chain_core import chain_spec, stationary, validate, weight_function
+from dataclasses import replace
+
+from ergorate.chain_core import (
+    Tolerances,
+    build_birth_death,
+    build_example21,
+    chain_spec,
+    distribution,
+    is_reversible,
+    stationary,
+    validate,
+    weight_function,
+)
 from ergorate.htransform import h_function, measured_l2_rate, transform
 from ergorate.semigroup import decay_curve, fit_rate
-from ergorate.spectral import spectral_report
+from ergorate.spectral import chain_analysis, spectral_report
 
 # largest deviations seen on these chains are about 1e-14
 TOL = 1e-10
@@ -147,3 +162,47 @@ def test_a_law_spanning_1e_minus_60_is_permuted_and_not_rescaled(seed, n, log_c)
     np.testing.assert_allclose(pi, law, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(validate_law(q[np.ix_(perm, perm)]), pi[perm], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(validate_law(10.0**log_c * q), pi, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=chains, log_c=st.floats(min_value=-3.0, max_value=3.0))
+def test_the_reversibility_verdict_ignores_time_scale_and_labels(chain, log_c):
+    rng, q, f = random_chain(**chain)
+    perm = rng.permutation(chain["n"])
+    spec = build(q, f)
+    verdict, violation = is_reversible(spec.rate_matrix, spec.stationary)
+    # a random irreversible chain is reversible only at n = 2
+    assert verdict == (chain["reversible"] or chain["n"] == 2)
+    for other in (build(10.0**log_c * q, f), build(q[np.ix_(perm, perm)], f[perm])):
+        a = chain_analysis(other)
+        assert a.reversible == verdict
+        # the per-edge defect is relative, so only rounding moves it
+        assert a.violation == pytest.approx(violation, rel=TOL, abs=1e-13)
+
+
+def routes(spec, rng):
+    """The same chain's specs, each with its law reached another way."""
+    n = spec.n
+    yield spec  # the law stationary made, or LU's
+    yield chain_spec(spec.rate_matrix, spec.weight, distribution(spec.pi), tol=spec.tol)  # a supplied law
+    yield replace(spec, label="relabelled")
+    # every chain passes at rev_tol 2; at 1e-300 rounding decides
+    for rev_tol in (1e-300, 2.0):
+        yield replace(spec, tol=Tolerances(rev_tol=rev_tol))
+    yield build_birth_death(rng.uniform(0.2, 1.0, n - 1), rng.uniform(0.2, 1.0, n - 1))
+    p = rng.uniform(0.2, 1.0, n)
+    yield build_example21(p / p.sum(), 2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=chains)
+def test_the_analysis_reads_the_verdict_of_is_reversible_on_every_route(chain):
+    rng, q, f = random_chain(**chain)
+    for spec in routes(build(q, f), rng):
+        a = chain_analysis(spec)
+        assert (a.reversible, a.violation) == is_reversible(spec.rate_matrix, spec.stationary, spec.tol)
+        # the dual takes its chain's verdict; its own test agrees wherever
+        # rounding does not decide it (the dual's rounding is its own)
+        d = a._dual
+        if spec.tol.rev_tol > 1e-300:
+            assert d.reversible == is_reversible(d.rate_matrix, d.stationary, spec.tol)[0]

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import random_detailed_balance, random_irreversible
 
+from ergorate import chain_core, spectral
 from ergorate.chain_core import (
     RateMatrix,
     Tolerances,
+    build_birth_death,
     build_example21,
     build_example22,
     chain_spec,
@@ -30,7 +32,7 @@ from ergorate.chain_core import (
     weight_function,
 )
 from ergorate.errors import EigenFailure, ErgorateError, NoDrift
-from ergorate.semigroup import Propagator
+from ergorate.semigroup import Propagator, mu_ft_norm
 from ergorate.spectral import (
     DriftReport,
     chain_analysis,
@@ -347,6 +349,43 @@ def test_reversibility_verdict_follows_the_spec_tolerance(order):
     for name in order:
         assert VERDICT_READERS[name](strict) is False
         assert VERDICT_READERS[name](loose) is True
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_a_report_runs_the_detailed_balance_test_once(monkeypatch, decomposition_counts, reversible):
+    # counted at both bindings ergorate calls it through
+    calls = []
+
+    def counted(*args, _orig=chain_core.is_reversible):
+        calls.append(args)
+        return _orig(*args)
+
+    for module in (chain_core, spectral):
+        monkeypatch.setattr(module, "is_reversible", counted)
+    q = (random_detailed_balance if reversible else random_irreversible)(np.random.default_rng(30), 30)
+    spec = chain_spec(validate(q), weight_function(np.ones(30)))
+    # a reversible chain's law ran it inside stationary; an irreversible
+    # chain leaves at the stationary residual, before the test
+    assert len(calls) == (1 if reversible else 0)
+    rep = spectral_report(spec)
+    assert rep.reversible is reversible
+    assert chain_analysis(spec).violation <= (1e-12 if reversible else 1.0)
+    assert len(calls) == 1
+    # the dual's analysis takes its chain's verdict and symmetrized rates
+    mu_ft_norm(np.full(30, 1.0 / 30), spec, 0.5)
+    assert len(calls) == 1
+    assert decomposition_counts["eigvalsh"] == 1
+
+
+def test_a_law_made_for_one_generator_is_tested_again_with_another():
+    # the birth-death law stationary made keeps the test it passed; paired
+    # with the same chain plus a one-way edge 38 -> 0, whose residual it
+    # still passes, it is tested again, and the edge fails it
+    q = build_birth_death(np.ones(39), np.geomspace(1.0, 1e2, 39)).q.copy()
+    law = stationary(validate(q))
+    q[38, 0], q[38, 38] = 1.0, q[38, 38] - 1.0
+    a = chain_analysis(chain_spec(validate(q), weight_function(np.ones(40)), pi=law))
+    assert (a.reversible, a.violation) == (False, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
