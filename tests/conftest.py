@@ -11,11 +11,16 @@ from ergorate.chain_core import build_birth_death, build_example21, build_exampl
 
 @pytest.fixture
 def decomposition_counts(monkeypatch):
-    """Live counts of numpy.linalg.eigh/eigvalsh/eigvals and scipy.linalg.expm
-    calls (ergorate looks these up on the modules at call time).  ergorate
-    takes no expm; its count stays as a guard."""
-    counts = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "expm": 0}
-    kernels = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "eigvals"), (scipy.linalg, "expm"))
+    """Live counts of numpy.linalg.eigh/eigvalsh/eigvals/eig and
+    scipy.linalg.expm calls (ergorate looks these up on the modules at call
+    time).  ``eig`` counts the Arnoldi's projected eigensolves, one per
+    restart cycle, each of a matrix of the basis size.  ergorate takes no
+    expm; its count stays as a guard."""
+    counts = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "eig": 0, "expm": 0}
+    kernels = (
+        (np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "eigvals"), (np.linalg, "eig"),
+        (scipy.linalg, "expm"),
+    )
     for owner, name in kernels:
         def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -58,5 +63,20 @@ def random_irreversible(rng: np.random.Generator, n: int):
     """Dense conservative chain with no symmetry; generically irreversible."""
     q = rng.uniform(0.05, 1.0, (n, n))
     np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def lifted_cycle(N: int, flip: float | None = None):
+    """Lifted N-cycle on 2N states: (x, +) steps to x + 1 and (x, -) to
+    x - 1 mod N at rate 1, and each flips direction at rate ``flip``
+    (default 1/N).  Uniform stationary law; irreversible, with a slow
+    complex pair from N = 32 on."""
+    flip = 1.0 / N if flip is None else flip
+    x = np.arange(N)
+    q = np.zeros((2 * N, 2 * N))
+    q[x, (x + 1) % N] = 1.0
+    q[N + x, N + (x - 1) % N] = 1.0
+    q[x, N + x] = q[N + x, x] = flip
     np.fill_diagonal(q, -q.sum(axis=1))
     return q

@@ -13,8 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import random_irreversible
+
 import ergorate
-from ergorate import chain_core, cli
+from ergorate import chain_core, cli, spectral
 from ergorate.cli import main
 
 EX21_ARGS = ["--family", "example21", "--pi", "0.5,0.25,0.25", "--beta", "2"]
@@ -32,6 +34,18 @@ def write_chain(tmp_path, name, obj):
     return str(path)
 
 
+# an irreversible chain file above the size from which the true rate is the
+# restarted Arnoldi's (spectral._KRYLOV_MIN_STATES)
+IRREVERSIBLE_FILE = "<irreversible chain file>"
+IRREVERSIBLE_STATES = 100
+
+
+def irreversible_file(tmp_path):
+    n = IRREVERSIBLE_STATES
+    q = random_irreversible(np.random.default_rng(n), n) / n
+    return write_chain(tmp_path, "irreversible.json", {"Q": q.tolist(), "f": [1.0] * n})
+
+
 # ------------------------------------------------- decompositions per call
 
 @pytest.mark.parametrize(
@@ -39,16 +53,16 @@ def write_chain(tmp_path, name, obj):
     [
         # every chain's gap and a reversible chain's spectrum come from one
         # values-only eigvalsh: no eigh, no eigvals
-        (["analyze", *EX21_ARGS], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}),
+        (["analyze", *EX21_ARGS], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 0, "expm": 0}),
         # irreversible: the gap from the eigvalsh, the spectrum from eigvals
-        (["analyze", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
+        (["analyze", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "eig": 0, "expm": 0}),
         # three states: the default grid is too long to sweep, so the curve
         # reads the expansion's eigh
-        (["fit", *EX21_ARGS], {"eigh": 1, "eigvalsh": 1, "eigvals": 0, "expm": 0}),
-        (["decay", *EX21_ARGS], {"eigh": 1, "eigvalsh": 1, "eigvals": 0, "expm": 0}),
+        (["fit", *EX21_ARGS], {"eigh": 1, "eigvalsh": 1, "eigvals": 0, "eig": 0, "expm": 0}),
+        (["decay", *EX21_ARGS], {"eigh": 1, "eigvalsh": 1, "eigvals": 0, "eig": 0, "expm": 0}),
         # irreversible: the uniformized route steps the row, no dense expm
-        (["decay", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "expm": 0}),
-        (["drift", *EX21_ARGS], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}),
+        (["decay", "--family", "example22"], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "eig": 0, "expm": 0}),
+        (["drift", *EX21_ARGS], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 0, "expm": 0}),
         # the battery reads each chain's memo: one eigvalsh per battery chain
         # for its gap (the lemma chain's gap is not read), one eigh per
         # reversible chain for its matrices (three battery chains, one lemma
@@ -56,16 +70,40 @@ def write_chain(tmp_path, name, obj):
         # and mu_ft_norm's dual are semigroup._deviation, no expm; each
         # reversible chain's dual reads its chain's rates for its
         # uniformization rate
-        (["verify"], {"eigh": 4, "eigvalsh": 4, "eigvals": 1, "expm": 0}),
+        (["verify"], {"eigh": 4, "eigvalsh": 4, "eigvals": 1, "eig": 0, "expm": 0}),
+        # irreversible, above the Arnoldi's size: the true rate is the
+        # restarted Arnoldi's, here one cycle with one projected eig, and only
+        # analyze, which prints the spectrum, takes the eigvals
+        (["gap", "--input", IRREVERSIBLE_FILE], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 1, "expm": 0}),
+        (["decay", "--input", IRREVERSIBLE_FILE], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 1, "expm": 0}),
+        (["fit", "--input", IRREVERSIBLE_FILE], {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 1, "expm": 0}),
+        (["analyze", "--input", IRREVERSIBLE_FILE], {"eigh": 0, "eigvalsh": 1, "eigvals": 1, "eig": 1, "expm": 0}),
     ],
 )
-def test_decompositions_per_call(capsys, decomposition_counts, argv, expected):
+def test_decompositions_per_call(capsys, tmp_path, decomposition_counts, argv, expected):
+    if IRREVERSIBLE_FILE in argv:
+        argv = [irreversible_file(tmp_path) if a == IRREVERSIBLE_FILE else a for a in argv]
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert decomposition_counts == expected
 
 
 # ----------------------------------------------------------------- analyze
+
+def test_analyze_above_the_arnoldi_size_agrees_with_its_printed_spectrum(capsys, tmp_path):
+    # the true rate is the Arnoldi's, the printed spectrum eigvals': they
+    # agree within the route's stated accuracy, and the verdicts read from
+    # either are the same; gap prints the same bits as analyze
+    path = irreversible_file(tmp_path)
+    blob = json.loads(run(capsys, "analyze", "--input", path)[1])
+    with open(path) as fh:
+        zero_tol = spectral._zero_tol(chain_core.validate(json.load(fh)["Q"]))
+    ref = -max(re for re, im in blob["eigenvalues"] if np.hypot(re, im) > zero_tol)
+    assert abs(blob["true_decay_rate"] - ref) <= 1e-12 * ref
+    assert blob["reversible"] is False
+    assert blob["rate_exceeds_gap"] is (ref - blob["gap"] > zero_tol) is True
+    assert json.loads(run(capsys, "gap", "--input", path)[1])["true_decay_rate"] == blob["true_decay_rate"]
+
 
 def test_analyze_cycle_family(capsys):
     code, out, _ = run(capsys, "analyze", "--family", "example22")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import random_detailed_balance, random_irreversible
 
-from ergorate import semigroup
+from ergorate import semigroup, spectral
 from ergorate.chain_core import (
     build_birth_death,
     build_example21,
@@ -644,8 +644,17 @@ def dense_chain(reversible, n, seed=3):
     return chain_spec(validate(q), weight_function(rng.uniform(1.0, 3.0, n)))
 
 
-@pytest.mark.parametrize("reversible", [True, False])
-@pytest.mark.parametrize("n", [3, 7, ABOVE, 200])
+# irreversible chains from KRYLOV states on take the true rate from the
+# restarted Arnoldi; one eig per restart cycle, counted for these chains
+KRYLOV = spectral._KRYLOV_MIN_STATES
+ARNOLDI_CYCLES = {KRYLOV: 2, 200: 3}
+
+
+@pytest.mark.parametrize(
+    "reversible, n",
+    [pytest.param(r, n, id=f"{n}-{r}") for r in (True, False) for n in (3, 7, ABOVE, 200)]
+    + [pytest.param(False, KRYLOV - 1, id=f"{KRYLOV - 1}-False")],
+)
 def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
     spec = dense_chain(reversible, n)
     rep = spectral_report(spec)
@@ -656,15 +665,20 @@ def test_one_decomposition_per_analysis_op(decomposition_counts, reversible, n):
     # chain takes its gap from a values-only eigvalsh, and a reversible one
     # its spectrum too.  A reversible default grid is swept from n = ABOVE
     # on, with no eigenvector; below, it is too long to sweep and the curve
-    # reads the expansion's eigh.  An irreversible chain takes one eigvals.
-    counts = {"eigh": 0, "eigvalsh": 1, "eigvals": 1}
+    # reads the expansion's eigh.  An irreversible chain below KRYLOV takes
+    # one eigvals, and from KRYLOV on none: its true rate is the Arnoldi's.
     if reversible:
-        counts = {"eigh": int(n < ABOVE), "eigvalsh": 1, "eigvals": 0}
+        counts = {"eigh": int(n < ABOVE), "eigvalsh": 1, "eigvals": 0, "eig": 0}
+    else:
+        counts = {"eigh": 0, "eigvalsh": 1, "eigvals": int(n < KRYLOV), "eig": ARNOLDI_CYCLES.get(n, 0)}
     assert decomposition_counts == {**counts, "expm": 0}
     assert curve.method == ("uniformized" if not reversible or n >= ABOVE else "spectral")
     # the analysis is memoized on the spec; the per-generator functions are not
     assert chain_analysis(spec) is chain_analysis(spec)
     assert spectral_report(spec).to_dict() == rep.to_dict()
+    # the report's eigenvalues are taken when first read
+    if not reversible and n >= KRYLOV:
+        counts["eigvals"] = 1
     assert decomposition_counts == {**counts, "expm": 0}
     gap(spec.rate_matrix, spec.stationary)
     assert decomposition_counts == {**counts, "eigvalsh": 2, "expm": 0}
@@ -1013,7 +1027,7 @@ def test_a_sweepable_reversible_curve_takes_no_eigenvector(decomposition_counts,
     grid = default_time_grid(chain_analysis(spec).gap)
     curve = decay_curve(spec, 1, grid)
     assert curve.method == "uniformized" and curve.noise_floor == 1e-300
-    assert decomposition_counts == {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}
+    assert decomposition_counts == {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 0, "expm": 0}
     # the same rows from the expansion, which is built only now
     full = np.abs(Propagator(spec).row_deviations(1, grid)) @ spec.f
     assert decomposition_counts["eigh"] == 1

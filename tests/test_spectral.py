@@ -5,15 +5,17 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
 import warnings
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_detailed_balance, random_irreversible
+from conftest import lifted_cycle, random_detailed_balance, random_irreversible
 
 from ergorate import chain_core, spectral
 from ergorate.chain_core import (
@@ -34,6 +36,7 @@ from ergorate.chain_core import (
 from ergorate.errors import EigenFailure, ErgorateError, NoDrift
 from ergorate.semigroup import Propagator, mu_ft_norm
 from ergorate.spectral import (
+    ChainAnalysis,
     DriftReport,
     chain_analysis,
     drift_condition,
@@ -311,11 +314,11 @@ def test_public_readers_run_one_decomposition(request, decomposition_counts, rea
     reader(spec.rate_matrix, spec.stationary)
     if chain == "bd6":
         # reversible: every number is read from one values-only eigvalsh
-        expected = {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}
+        expected = {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 0, "expm": 0}
     elif reader is gap:
-        expected = {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}
+        expected = {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 0, "expm": 0}
     else:
-        expected = {"eigh": 0, "eigvalsh": 0, "eigvals": 1, "expm": 0}
+        expected = {"eigh": 0, "eigvalsh": 0, "eigvals": 1, "eig": 0, "expm": 0}
     assert decomposition_counts == expected
 
 
@@ -445,7 +448,132 @@ def test_near_reducible_irreversible_chain_fails_on_the_values_only_path(decompo
     with pytest.raises(EigenFailure, match="not simple"):
         spectral_report(spec)
     # raised by the gap's eigvalsh, before any eigh or eigvals
-    assert decomposition_counts == {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "expm": 0}
+    assert decomposition_counts == {"eigh": 0, "eigvalsh": 1, "eigvals": 0, "eig": 0, "expm": 0}
+
+
+# --------------------------------------------- the Arnoldi's true rate
+
+KRYLOV = spectral._KRYLOV_MIN_STATES
+
+
+def fresh_analysis(q):
+    Q = validate(q)
+    return ChainAnalysis(Q, stationary(Q), Tolerances())
+
+
+def spectrum_rate(a):
+    """Minus the largest real part of the nonzero spectrum: eigvals' rate."""
+    tol = spectral._zero_tol(a.rate_matrix)
+    return -max(z.real for z in a.spectrum if abs(z) > tol)
+
+
+def check_arnoldi_rate(q):
+    """The route's rate is eigvals' within 1e-12 relative, or it fell back
+    to eigvals; it is never below the gap, and a second analysis of the
+    same chain takes the same route to the same bits."""
+    a = fresh_analysis(q)
+    route = a.decay_route
+    assert not a.reversible
+    if q.shape[0] < KRYLOV:
+        assert (route.route, route.matvecs) == ("eigvals", 0)
+    ref = spectrum_rate(a)
+    if route.route == "krylov":
+        assert abs(route.rate - ref) <= 1e-12 * ref
+        assert route.residual <= 10.0 * spectral._KRYLOV_TOL * route.rate / a._uniformized[0]
+    else:
+        assert route.route == "eigvals" and route.rate == ref
+    assert route.rate >= a.gap
+    np.testing.assert_equal(astuple(fresh_analysis(q).decay_route), astuple(route))
+    return route
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=KRYLOV, max_value=200),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_arnoldi_rate_matches_eigvals_on_random_irreversible(seed, n, log_scale):
+    check_arnoldi_rate(random_irreversible(np.random.default_rng(seed), n) * 10.0**log_scale)
+
+
+@settings(max_examples=15, deadline=None)
+@given(N=st.integers(min_value=32, max_value=64), log_flip=st.floats(min_value=-0.3, max_value=0.3))
+def test_arnoldi_rate_matches_eigvals_on_lifted_cycles(N, log_flip):
+    # 64-128 states; from N = 40 on the Arnoldi's
+    check_arnoldi_rate(lifted_cycle(N, 10.0**log_flip / N))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31), n=st.integers(min_value=KRYLOV, max_value=200))
+def test_arnoldi_rate_matches_eigvals_on_benchmark_style_chains(seed, n):
+    # rates uniform(0.05, 1) / n, as perfbench's dense-irreversible workload
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.05, 1.0, (n, n)) / n
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    check_arnoldi_rate(q)
+
+
+def test_an_arnoldi_with_no_residual_test_fails_on_the_lifted_cycle(monkeypatch):
+    # the mutant: one unrestarted basis of 40, its rightmost Ritz value taken
+    # with no residual test.  On the lifted 64-cycle it is 69% off; the
+    # route with its test agrees with eigvals or falls back.
+    q = lifted_cycle(64)
+    check_arnoldi_rate(q)
+    monkeypatch.setattr(spectral, "_KRYLOV_TOL", math.inf)
+    a = fresh_analysis(q)
+    mutant = a.decay_route
+    assert (mutant.route, mutant.matvecs) == ("krylov", spectral._KRYLOV_BASIS)
+    assert abs(mutant.rate - spectrum_rate(a)) > 0.5 * spectrum_rate(a)
+
+
+def test_a_rate_the_residual_cannot_certify_falls_back_to_eigvals(decomposition_counts):
+    # flips at 1e-5: rho / Lam is 2e-5, so the residual test asks for 2e-18,
+    # below the rounding of any product; the budget runs out, and the
+    # analysis keeps what the Arnoldi spent
+    a = fresh_analysis(lifted_cycle(50, 1e-5))
+    route = a.decay_route
+    assert route.route == "eigvals" and route.rate == spectrum_rate(a)
+    assert route.matvecs >= a.rate_matrix.n
+    assert spectral._KRYLOV_TOL * route.rate / a._uniformized[0] < route.residual < 1e-14
+    assert decomposition_counts["eigvals"] == 1
+
+
+def test_an_arnoldi_that_breaks_down_falls_back_to_eigvals():
+    # a 3-cycle run alongside a 30-state resampling chain (Kronecker sum, 90
+    # states): only five distinct decaying modes, so the sixth product
+    # leaves the Krylov space nothing new, and the route takes eigvals
+    cycle = np.array([[-1.5, 1.0, 0.5], [0.5, -1.5, 1.0], [1.0, 0.5, -1.5]])
+    p = np.random.default_rng(1).uniform(0.5, 1.5, 30)
+    resample = np.tile(p / p.sum(), (30, 1))
+    np.fill_diagonal(resample, 0.0)
+    np.fill_diagonal(resample, -resample.sum(axis=1))
+    a = fresh_analysis(np.kron(cycle, np.eye(30)) + np.kron(np.eye(3), resample))
+    route = a.decay_route
+    assert (route.route, route.matvecs) == ("eigvals", 5) and math.isnan(route.residual)
+    assert route.rate == spectrum_rate(a) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_the_true_rate_takes_one_route_whatever_was_read_first():
+    q = random_irreversible(np.random.default_rng(7), 120) / 120
+    first, second = fresh_analysis(q), fresh_analysis(q)
+    first.spectrum
+    assert first.decay_route.route == "krylov"
+    assert first.true_decay_rate == second.true_decay_rate
+    np.testing.assert_equal(astuple(first.decay_route), astuple(second.decay_route))
+    # where no route but eigvals runs, the rate is the spectrum's
+    small = fresh_analysis(random_irreversible(np.random.default_rng(7), KRYLOV - 1))
+    assert small.decay_route.route == "eigvals" and small.true_decay_rate == spectrum_rate(small)
+    assert fresh_analysis(random_detailed_balance(np.random.default_rng(7), 120)).decay_route.route == "eigvalsh"
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_the_arnoldi_rate_scales_with_the_generator(c):
+    q = random_irreversible(np.random.default_rng(11), 150) / 150
+    route, scaled = fresh_analysis(q).decay_route, fresh_analysis(c * q).decay_route
+    assert route.route == scaled.route == "krylov"
+    assert scaled.rate == pytest.approx(c * route.rate, rel=1e-12)
 
 
 # --------------------------------------------------------------------- drift
