@@ -371,8 +371,10 @@ def stationary(Q: RateMatrix, tol: Tolerances = Tolerances()) -> Distribution:
     """The law pi with pi Q = 0 and mass one.
 
     A reversible chain takes the detailed-balance law of _balanced_law,
-    whose relative error does not grow with how widely pi spans.  Every other
-    chain takes an LU solve:
+    builtin birth-death chains included.  No entry is lost however widely
+    pi spans, but its relative error grows like eps |ln pi_min|: against
+    mpmath, 1.3e-14 at pi_min 1.0e-64 (n = 40) and 2.4e-13 at 3.6e-265
+    (n = 1500).  Every other chain takes an LU solve:
     the transposed balance system has a one-dimensional null space for an
     irreducible conservative generator, so its last (redundant) equation
     is replaced by the all-ones normalization row, giving a square
@@ -551,9 +553,9 @@ def build_birth_death(
     f_raw : array_like, optional
         Weight vector; defaults to all ones.
 
-    The stationary law follows the detailed-balance recursion
-    pi_{i+1} = pi_i * birth[i] / death[i], computed here independently of
-    the generic linear solve so the two paths cross-check each other.
+    The stationary law, its detailed-balance verdict and its errors are
+    stationary(Q, tol)'s, so the chain reads the same as its matrix given
+    to chain_spec.
     """
     b = _floats(birth, "birth")
     d = _floats(death, "death")
@@ -569,16 +571,8 @@ def build_birth_death(
     idx = np.arange(n - 1)
     q[idx, idx + 1] = b
     q[idx + 1, idx] = d
-
-    p = np.empty(n)
-    p[0] = 1.0
-    for i in range(n - 1):
-        p[i + 1] = p[i] * b[i] / d[i]
-    p /= p.sum()
-
     f = weight_function(np.ones(n) if f_raw is None else f_raw)
-    Q = validate(q, repair=True)
-    return chain_spec(Q, f, pi=distribution(p), label="birth_death", tol=tol)
+    return chain_spec(validate(q, repair=True), f, label="birth_death", tol=tol)
 
 
 class Family(NamedTuple):

@@ -458,9 +458,17 @@ def chain_analysis(spec: ChainSpec) -> ChainAnalysis:
 def ergodicity_constant(pi: Distribution, f: WeightFunction) -> NDArray[np.float64]:
     """Per-state constant sqrt(pi(f^2)) * sqrt(1/pi_i - 1) of the
     exponential convergence bound on the weighted norm, with f scaled by
-    its max m inside the root so that f_i^2 may overflow."""
+    its max m inside the root so that f_i^2 may overflow.
+
+    sqrt(1/pi_i - 1) is formed as sqrt(rest_i) / sqrt(pi_i), finite for
+    every positive pi_i: rest_i is 1 - pi_i, except at the largest pi_i,
+    which may be near 1, where it is the sum of the other entries."""
+    p = pi.p
+    k = int(np.argmax(p))
+    rest = 1.0 - p
+    rest[k] = p[:k].sum() + p[k + 1:].sum()
     m = float(f.f.max())
-    return m * np.sqrt(float(np.dot(pi.p, (f.f / m) ** 2))) * np.sqrt(1.0 / pi.p - 1.0)
+    return m * np.sqrt(float(np.dot(p, (f.f / m) ** 2))) * (np.sqrt(rest) / np.sqrt(p))
 
 
 def spectral_report(spec: ChainSpec) -> SpectralReport:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -36,6 +37,7 @@ from ergorate.chain_core import (
     weight_function,
 )
 from ergorate.errors import (
+    EigenFailure,
     ErgorateError,
     InvalidBeta,
     NegativeRate,
@@ -44,6 +46,7 @@ from ergorate.errors import (
     SingularSystem,
     ZeroRate,
 )
+from ergorate.spectral import chain_analysis
 
 CYCLE_Q = [[-0.5, 0.5, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]
 
@@ -555,6 +558,92 @@ def test_stationary_matches_a_40_digit_law_on_permuted_birth_death_chains(n, spr
     np.testing.assert_allclose(stationary(validate(q)).p, expected, rtol=1e-13, atol=0.0)
 
 
+def family_and_matrix_outcomes(birth, death, f):
+    """(pi, (verdict, violation), gap) of the chain built by
+    build_birth_death and of its matrix given to chain_spec.  A
+    SingularSystem stands for the whole outcome, and an EigenFailure (a
+    gap under the zero-mode tolerance) for the gap, by their messages."""
+    outcomes = []
+    for build in (
+        lambda: build_birth_death(birth, death, f),
+        lambda: chain_spec(validate(birth_death_q(birth, death)), weight_function(f)),
+    ):
+        try:
+            spec = build()
+        except SingularSystem as exc:
+            outcomes.append(str(exc))
+            continue
+        a = chain_analysis(spec)
+        try:
+            gap = a.gap
+        except EigenFailure as exc:
+            gap = str(exc)
+        outcomes.append((spec.pi, (a.reversible, a.violation), gap))
+    return outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=400),
+    tilt=st.floats(min_value=0.0, max_value=0.75),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(n=400, tilt=0.75, seed=1)  # pi_min 1.1e-161
+def test_a_birth_death_chain_reads_the_same_built_by_family_or_as_a_matrix(n, tilt, seed):
+    """Rates e^U(-3, 3), births tilted down by e^-tilt: one law, one
+    verdict, one gap, bit for bit, or the same SingularSystem."""
+    rng = np.random.default_rng(seed)
+    birth, death = np.exp(rng.uniform(-3.0, 3.0, (2, n - 1)))
+    birth *= np.exp(-tilt)
+    family, matrix = family_and_matrix_outcomes(birth, death, rng.uniform(1.0, 3.0, n))
+    if isinstance(family, str) or isinstance(matrix, str):
+        assert family == matrix
+        return
+    assert np.array_equal(family[0], matrix[0])
+    assert family[1:] == matrix[1:]
+
+
+def test_a_birth_death_law_below_the_doubles_is_a_singular_system_both_ways():
+    # unit births and deaths 43.7: pi_199 is near 10^-326.5.  The builder's
+    # own product once raised a plain ErgorateError for its zero entry
+    family, matrix = family_and_matrix_outcomes(np.ones(199), np.full(199, 43.7), np.ones(200))
+    assert family == matrix == "the detailed-balance law underflows: smallest log10 pi is -326.5"
+
+
+def test_a_birth_death_law_whose_product_overflows_builds():
+    # births 2, deaths 1: the unnormalized product 2^1024 overflowed the
+    # doubles; the tree law subtracts the largest log before its exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = build_birth_death(np.full(1024, 2.0), np.ones(1024))
+        matrix = chain_spec(validate(birth_death_q(np.full(1024, 2.0), np.ones(1024))), weight_function(np.ones(1025)))
+    assert np.array_equal(spec.pi, matrix.pi)
+    # pi_k = 2^k / (2^1025 - 1), which rounds to 2^(k - 1025); the smallest
+    # entries are subnormal, with fewer digits
+    np.testing.assert_allclose(spec.pi, np.ldexp(1.0, np.arange(1025) - 1025), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("ratio, n", [(0.3, 580), (0.9, 1000)])
+def test_the_birth_death_law_matches_a_50_digit_m_m_1_law(ratio, n):
+    """M/M/1 truncated to n states, pi_k proportional to ratio^k.  The tree
+    law's relative error grows like eps |ln pi_min|: 1.5e-13 at ratio 0.3
+    (pi_min 1.3e-303) and 1.4e-14 at 0.9."""
+    mp = pytest.importorskip("mpmath")
+    spec = build_birth_death(np.full(n - 1, ratio), np.ones(n - 1))
+    with mp.workdps(50):
+        r = mp.mpf(ratio)
+        total = (1 - r**n) / (1 - r)
+        err = max(abs(mp.mpf(float(p)) / (r**k / total) - 1) for k, p in enumerate(spec.pi))
+    assert float(err) <= 5e-13
+
+
+def test_the_birth_death_law_is_stationarys_not_a_product_of_its_own():
+    # the family computes no law: a stationary that returns a marked law
+    # hands that very law to the chain
+    spec = build_birth_death([1.0, 2.0, 0.5], [1.0, 1.0, 2.0])
+    assert spec.stationary._balance[0] is spec.rate_matrix
+
+
 @pytest.mark.parametrize("n", [3, 10, 50, 200])
 def test_stationary_of_a_dense_reversible_chain_agrees_with_lu(n):
     Q = validate(random_detailed_balance(np.random.default_rng(n), n))
@@ -663,7 +752,7 @@ def test_truncate_of_a_birth_death_rule_is_the_birth_death_chain():
     bd = build_birth_death(birth, death, [1.5**k for k in range(6)])
     assert np.array_equal(spec.q, bd.q)
     assert np.array_equal(spec.f, bd.f)
-    assert np.max(np.abs(spec.pi - bd.pi)) <= 1e-12
+    assert np.array_equal(spec.pi, bd.pi)
 
 
 # ------------------------------------------------------------------ JSON IO
@@ -776,13 +865,15 @@ def test_load_chain_file_rejects_malformed(tmp_path):
 )
 def test_birth_death_invariants(n, seed):
     rng = np.random.default_rng(seed)
-    spec = build_birth_death(rng.uniform(0.2, 3.0, n - 1), rng.uniform(0.2, 3.0, n - 1))
+    birth, death = rng.uniform(0.2, 3.0, (2, n - 1))
+    spec = build_birth_death(birth, death)
     assert np.all(spec.pi > 0)
     assert abs(spec.pi.sum() - 1.0) <= 1e-12
     assert np.max(np.abs(spec.pi @ spec.q)) <= STAT_TOL * spec.rate_matrix.max_rate
     assert is_reversible(spec.rate_matrix, spec.stationary)[0]
-    # solver agrees with the detailed-balance recursion used by the builder
-    assert np.max(np.abs(stationary(spec.rate_matrix).p - spec.pi)) <= 1e-12
+    # the law is stationary's tree law; the log-space recursion is its oracle,
+    # whose error grows like eps |ln pi_min| (|ln pi_min| <= 12 ln 15 here)
+    np.testing.assert_allclose(spec.pi, recursion_law(birth, death), rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)

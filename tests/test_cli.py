@@ -168,6 +168,49 @@ def test_bd40_given_as_a_matrix_reads_the_family_numbers(capsys, tmp_path):
     assert min(json.loads(out)["stationary"]) == pytest.approx(law.min(), rel=1e-12)
 
 
+@pytest.mark.parametrize("command", ["analyze", "gap", "decay", "fit"])
+def test_bd40_as_a_family_file_prints_the_matrix_files_bytes(capsys, tmp_path, command):
+    # one stationary law for both: the family's own product once put the gap
+    # at 31.51956142732668, the matrix's at 31.519561427326675
+    i = np.arange(39)
+    q = np.zeros((40, 40))
+    q[i, i + 1], q[i + 1, i] = 1.0, 43.7
+    np.fill_diagonal(q, -q.sum(axis=1))
+    matrix = write_chain(tmp_path, "bd40.json", {"label": "bd40", "Q": q.tolist(), "f": [1.0] * 40})
+    family = write_chain(
+        tmp_path, "bd40-family.json", {"family": "birth_death", "label": "bd40", "birth": [1.0] * 39, "death": [43.7] * 39}
+    )
+    outputs = [run(capsys, command, "--input", path) for path in (matrix, family)]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        # pi_0 = 1e-310: 1/pi_0 once overflowed, and analyze printed Infinity
+        {"Q": [[-1.0, 1.0], [1e-310, -1e-310]], "f": [1.0, 1.0]},
+        # births 2, deaths 1: the family's product once overflowed
+        {"family": "birth_death", "birth": [2.0] * 1024, "death": [1.0] * 1024},
+    ],
+    ids=["two-state-1e-310", "birth-death-1025"],
+)
+def test_analyze_prints_finite_constants_for_a_law_that_spans_the_doubles(capsys, tmp_path, chain):
+    path = write_chain(tmp_path, "c.json", chain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "analyze", "--input", path)
+    assert code == 0
+    constants = json.loads(out, parse_constant=refuse_constant)["constants"]
+    assert np.all(np.isfinite(constants))
+    if len(constants) == 2:
+        assert constants == pytest.approx([1e155, 1e-155], rel=5e-14)
+
+
 def test_a_one_way_edge_out_of_a_small_state_is_not_reversible(capsys, tmp_path):
     # the 40-state chain of deaths geomspace(1, 1e2) with a one-way edge
     # 38 -> 0 and pi supplied as the birth-death law, which passes the
@@ -208,11 +251,7 @@ def test_analyze_constants_stay_finite_for_a_huge_weight(capsys):
         warnings.simplefilter("error")
         code, out, _ = run(capsys, "analyze", "--family", "example21", "--pi", "0.5,0.5", "--beta", "1e200")
     assert code == 0
-
-    def refuse(name):
-        raise ValueError(f"non-JSON constant {name}")
-
-    rep = json.loads(out, parse_constant=refuse)
+    rep = json.loads(out, parse_constant=refuse_constant)
     assert rep["constants"] == pytest.approx([np.sqrt(0.5) * 1e200] * 2, rel=1e-15)
 
 

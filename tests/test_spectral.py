@@ -262,6 +262,38 @@ def test_ergodicity_constant_survives_a_weight_whose_square_overflows():
     assert np.allclose(C, np.sqrt(0.5) * 1e200, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("r, rtol", [(1e-12, 1e-15), (1e-14, 1e-15), (1e-310, 5e-14)])
+def test_ergodicity_constant_is_exact_and_finite_beside_a_point_mass(r, rtol):
+    # the chain [[-1, 1], [r, -r]] has pi = (r, 1) / (1 + r), so 1/pi_0 - 1 =
+    # 1/r and 1/pi_1 - 1 = r.  1 - pi_1 once cancelled (4e-4 relative at
+    # r = 1e-14) and 1/pi_0 overflowed at r = 1e-310, whose pi_0 is
+    # subnormal, with fewer digits (rtol)
+    spec = chain_spec(validate([[-1.0, 1.0], [r, -r]]), weight_function([1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = ergodicity_constant(spec.stationary, spec.weight)
+    np.testing.assert_allclose(C, [1.0 / np.sqrt(r), np.sqrt(r)], rtol=rtol, atol=0.0)
+
+
+def test_ergodicity_constant_matches_a_40_digit_value_on_random_laws():
+    # laws e^U(-40, 0), normalized, many with one entry near 1
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(200)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        w = np.exp(rng.uniform(-40.0, 0.0, n))
+        pi, f = distribution(w / w.sum()), weight_function(rng.uniform(1.0, 3.0, n))
+        C = ergodicity_constant(pi, f)
+        with mp.workdps(40):
+            p = [mp.mpf(x) for x in pi.p]
+            total = mp.fsum(p)
+            scale = mp.sqrt(mp.fsum(x * mp.mpf(y) ** 2 for x, y in zip(p, f.f)) / total)
+            expected = [scale * mp.sqrt((total - x) / x) for x in p]
+            worst = max(worst, max(float(abs(c / e - 1)) for c, e in zip(C, expected)))
+    assert worst <= 1e-15
+
+
 # -------------------------------------------------------------------- report
 
 def test_spectral_report_reversible(ex21):
